@@ -67,7 +67,7 @@ fn main() {
         let fine_per_rank: Vec<usize> = (0..2)
             .map(|r| (0..16).filter(|&e| part[e] == r && lv[e] == 1).count())
             .collect();
-        let (_, _, stats) = run_distributed(&c, &setup, part, dt, &u0, &v0, steps, &cfg)
+        let (_, _, stats) = run_distributed(&c, &setup, part, dt, &u0, &v0, steps, &cfg, &[])
             .expect("distributed run failed");
         println!("\n== {name} (fine elements per rank: {fine_per_rank:?}) ==");
         print!("{}", ascii_timeline(&stats, 48));

@@ -20,7 +20,7 @@ use lts_mesh::{BenchmarkMesh, MeshKind};
 use lts_obs::{Histogram, Json, MetricsRegistry};
 use lts_partition::{partition_mesh, Strategy};
 use lts_runtime::stats::{lambda_from_stats, names};
-use lts_runtime::{run_distributed_local_acoustic_observed, DistributedConfig, MonitorConfig};
+use lts_runtime::{run_distributed_local_acoustic_flight, DistributedConfig, MonitorConfig};
 use lts_sem::gll::cfl_dt_scale;
 use lts_sem::simd;
 use lts_sem::AcousticOperator;
@@ -193,10 +193,11 @@ pub fn run_scenario(sc: &Scenario) -> Json {
     let zero = vec![0.0; ndof];
     let mut host = MetricsRegistry::new();
     let started = std::time::Instant::now();
-    let (_, _, stats) = run_distributed_local_acoustic_observed(
+    let (_, _, stats) = run_distributed_local_acoustic_flight(
         &b.mesh, &b.levels, sc.order, &part, op_dt, &zero, &zero, sc.steps, &cfg, &sources,
         &mut host,
     )
+    .0
     .expect("distributed run failed");
     let wall_s = started.elapsed().as_secs_f64();
 

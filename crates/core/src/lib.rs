@@ -26,7 +26,6 @@ pub mod newmark;
 pub mod operator;
 pub mod reference;
 pub mod setup;
-pub mod simulation;
 pub mod spectral;
 pub mod two_level;
 
@@ -35,5 +34,4 @@ pub use lts::{LtsNewmark, LtsStats};
 pub use newmark::Newmark;
 pub use operator::{DofTopology, Operator, Source, Workspace};
 pub use setup::LtsSetup;
-pub use simulation::{Integrator, RunReport, Simulation, StepView};
 pub use two_level::TwoLevelLts;

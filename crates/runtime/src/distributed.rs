@@ -5,6 +5,17 @@
 //! Mirrors [`lts_core::LtsNewmark`]'s recursion exactly; the integration
 //! tests assert agreement with the serial stepper to round-off.
 //!
+//! Every run has the same three parts:
+//! - a `RankWorld` per rank: the operator it applies, its exchange plan,
+//!   level metadata, state and sources in one DOF numbering. The
+//!   *replicated* constructor here (`RankWorld::replicated`) keeps the
+//!   global operator and numbering; the *rank-local* one in
+//!   [`crate::local`] cuts a compact sub-operator per rank.
+//! - one rank context (`RankCtx::new`) that steps a world, and one driver
+//!   (`run_worlds`) that spawns the ranks, joins them, and owns the fault
+//!   plan, the stall monitor, the shared recorder epoch and the λ stamp.
+//! - one lowest-owner `assemble` of the global fields.
+//!
 //! Ranks speak to each other only through the pluggable
 //! [`crate::transport::Transport`] trait, so the same stepper runs over
 //! in-process channels, bounded shared-memory rings, or Unix-socket frames
@@ -100,11 +111,71 @@ impl DistributedConfig {
     }
 }
 
-/// One rank's run result: `(u_local, v_local, global_of_local)`.
-pub type RankResult = (Vec<f64>, Vec<f64>, Vec<u32>);
-
-/// One rank's outcome on the globally-replicated state layout.
+/// One rank's outcome: final `(u, v)` in its world's numbering, and its
+/// statistics.
 pub type RankRun = Result<(Vec<f64>, Vec<f64>, RankStats), RuntimeError>;
+
+/// One rank's world: the operator it applies, its exchange plan, level
+/// metadata, initial state and sources, all in one DOF numbering.
+pub(crate) struct RankWorld<'a, O> {
+    pub(crate) op: &'a O,
+    pub(crate) plan: RankPlan,
+    /// LTS level of each DOF.
+    pub(crate) dof_level: Vec<u8>,
+    /// Initial state; the run moves it into the rank's stepper.
+    pub(crate) u: Vec<f64>,
+    pub(crate) v: Vec<f64>,
+    /// Per leaf level: (index into the run's sources, DOF in this numbering).
+    pub(crate) sources: Vec<Vec<(usize, u32)>>,
+    /// Global DOF of each DOF in this numbering (final assembly).
+    pub(crate) global_of_local: Vec<u32>,
+}
+
+impl<'a, O: Operator> RankWorld<'a, O> {
+    /// Rank `plan`'s world on the shared global operator: global numbering,
+    /// full-length state, identity DOF map.
+    pub(crate) fn replicated(
+        op: &'a O,
+        setup: &LtsSetup,
+        plan: RankPlan,
+        u0: &[f64],
+        v0: &[f64],
+        sources: &[Source],
+    ) -> Self {
+        let sources = level_sources(setup, sources, |d| {
+            plan.my_dofs.binary_search(&d).ok().map(|_| d)
+        });
+        RankWorld {
+            op,
+            plan,
+            dof_level: setup.dof_level.clone(),
+            u: u0.to_vec(),
+            v: v0.to_vec(),
+            sources,
+            global_of_local: (0..u0.len() as u32).collect(),
+        }
+    }
+
+    pub(crate) fn n_levels(&self) -> usize {
+        self.plan.peers.len()
+    }
+}
+
+/// Bucket `sources` by leaf level as `(source index, local DOF)`, keeping
+/// those whose global DOF `local_of` finds in this rank's numbering.
+pub(crate) fn level_sources(
+    setup: &LtsSetup,
+    sources: &[Source],
+    local_of: impl Fn(u32) -> Option<u32>,
+) -> Vec<Vec<(usize, u32)>> {
+    let mut per_level = vec![Vec::new(); setup.n_levels];
+    for (si, src) in sources.iter().enumerate() {
+        if let Some(d) = local_of(src.dof) {
+            per_level[setup.leaf_level[src.dof as usize] as usize].push((si, d));
+        }
+    }
+    per_level
+}
 
 struct RankCtx<'a, O: Operator> {
     rank: usize,
@@ -114,7 +185,7 @@ struct RankCtx<'a, O: Operator> {
     plan: &'a RankPlan,
     sources: &'a [Source],
     /// per leaf level: (index into `sources`, DOF in this rank's numbering)
-    my_sources: Vec<Vec<(usize, u32)>>,
+    my_sources: &'a [Vec<(usize, u32)>],
     dt: f64,
     u: Vec<f64>,
     v: Vec<f64>,
@@ -218,6 +289,55 @@ fn not_a_peer(rank: usize, peer: usize, level: usize) -> RuntimeError {
 }
 
 impl<'a, O: Operator> RankCtx<'a, O> {
+    /// Step `world` as `rank`: its state moves into the context, the rest
+    /// is borrowed for the run.
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        rank: usize,
+        world: &'a mut RankWorld<'_, O>,
+        transport: Box<dyn Transport>,
+        cfg: DistributedConfig,
+        sources: &'a [Source],
+        dt: f64,
+        flight: FlightRecorder,
+        monitor: Option<RankMonitor>,
+    ) -> Self {
+        let n_ranks = transport.n_ranks();
+        let n_levels = world.n_levels();
+        let ndof = world.u.len();
+        RankCtx {
+            rank,
+            op: world.op,
+            n_levels,
+            dof_level: &world.dof_level,
+            plan: &world.plan,
+            sources,
+            my_sources: &world.sources,
+            dt,
+            u: std::mem::take(&mut world.u),
+            v: std::mem::take(&mut world.v),
+            uts: vec![vec![0.0; ndof]; n_levels],
+            vts: vec![vec![0.0; ndof]; n_levels],
+            fs: vec![vec![0.0; ndof]; n_levels],
+            transport,
+            gone: vec![false; n_ranks],
+            inbox: vec![VecDeque::new(); n_ranks],
+            send_seq: vec![0; n_ranks],
+            flight,
+            send_buf: Vec::new(),
+            pending: Vec::new(),
+            cursors: Vec::new(),
+            pool: Vec::new(),
+            reg: MetricsRegistry::new(),
+            timeline: Vec::new(),
+            monitor,
+            cfg,
+            ws: Workspace::new(),
+            step_idx: 0,
+            busy_since: Instant::now(),
+        }
+    }
+
     fn amplify(&self, n_elems: usize) {
         if self.cfg.work_amplify > 0 && self.cfg.amplify_rank.is_none_or(|r| r == self.rank) {
             let iters = self.cfg.work_amplify as u64 * n_elems as u64;
@@ -726,9 +846,143 @@ fn stamp_lambda_gauges<'r>(
     }
 }
 
-/// Run `n_steps` of distributed LTS-Newmark over `partition`. Returns the
-/// assembled global `(u, v)` and per-rank statistics; fails cleanly (no
-/// deadlock, no panic) if any rank drops out mid-run.
+/// Run every world on its own thread over `endpoints` (one per rank, in rank
+/// order) for `n_steps`, then join them all. Returns **each rank's own
+/// outcome** plus its flight recording, on failure too — the recordings are
+/// the crash-report material, and the fault-injection tests assert that
+/// killing one rank yields an error on *every* rank. The only place that
+/// applies `cfg.fault`, builds the stall monitor, takes the rank group's
+/// shared recorder epoch and stamps the final λ gauges.
+pub(crate) fn run_worlds<O: Operator + Sync>(
+    worlds: &mut [RankWorld<'_, O>],
+    endpoints: Vec<Box<dyn Transport>>,
+    dt: f64,
+    n_steps: usize,
+    cfg: &DistributedConfig,
+    sources: &[Source],
+) -> (Vec<RankRun>, Vec<RankRecording>) {
+    let endpoints = apply_fault_plan(endpoints, cfg.fault);
+    let n_levels = worlds.first().map_or(1, |w| w.n_levels());
+    let monitor = cfg
+        .stall_monitor
+        .map(|mc| StallMonitor::new(mc, worlds.len(), n_levels));
+    // one epoch across the rank group, so the recordings share a time axis
+    let epoch = Instant::now();
+    let (mut outcomes, recordings): (Vec<RankRun>, Vec<RankRecording>) =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = worlds
+                .iter_mut()
+                .zip(endpoints)
+                .enumerate()
+                .map(|(rank, (world, transport))| {
+                    let mon = monitor.clone();
+                    scope.spawn(move || {
+                        let ctx = RankCtx::new(
+                            rank,
+                            world,
+                            transport,
+                            *cfg,
+                            sources,
+                            dt,
+                            FlightRecorder::with_epoch(cfg.flight_capacity, epoch),
+                            mon.map(|s| RankMonitor::new(s, rank)),
+                        );
+                        run_rank_loop(ctx, n_steps)
+                    })
+                })
+                .collect();
+            // join everyone before propagating: a failed rank's endpoint
+            // closes, which unblocks any peer still waiting in recv
+            // (goodbye cascade)
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(rank, h)| {
+                    h.join().unwrap_or_else(|_| {
+                        let rec = RankRecording {
+                            rank: rank as u32,
+                            dropped: 0,
+                            events: Vec::new(),
+                        };
+                        (Err(RuntimeError::RankPanicked { rank }), rec)
+                    })
+                })
+                .unzip()
+        });
+    stamp_lambda_gauges(
+        monitor.as_deref(),
+        outcomes
+            .iter_mut()
+            .filter_map(|o| o.as_mut().ok().map(|(_, _, st)| &mut st.registry)),
+    );
+    (outcomes, recordings)
+}
+
+/// The global `(u, v)` and per-rank stats of a finished run: the lowest
+/// failed rank's error if any rank failed (ID order — deterministic across
+/// runs), else every DOF taken from the lowest rank holding it.
+pub(crate) fn assemble<O>(
+    ndof: usize,
+    worlds: &[RankWorld<'_, O>],
+    outcomes: Vec<RankRun>,
+) -> RunResult {
+    let finals = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let (u, v) = lowest_owner_fields(
+        ndof,
+        worlds.iter().zip(&finals).map(|(w, (u, v, _))| {
+            let held = w
+                .plan
+                .my_dofs
+                .iter()
+                .map(|&d| (d as usize, w.global_of_local[d as usize] as usize));
+            (u.as_slice(), v.as_slice(), held)
+        }),
+    );
+    Ok((u, v, finals.into_iter().map(|(_, _, st)| st).collect()))
+}
+
+/// Global `(u, v)` from per-rank `(u, v, held)`, where `held` pairs an index
+/// into that rank's state with the global DOF it holds. A DOF held by
+/// several ranks takes the lowest rank's value.
+pub(crate) fn lowest_owner_fields<'r, I: Iterator<Item = (usize, usize)>>(
+    ndof: usize,
+    ranks: impl DoubleEndedIterator<Item = (&'r [f64], &'r [f64], I)>,
+) -> (Vec<f64>, Vec<f64>) {
+    let mut u = vec![0.0; ndof];
+    let mut v = vec![0.0; ndof];
+    // highest rank first, so the lowest rank's write lands last
+    for (ur, vr, held) in ranks.rev() {
+        for (l, g) in held {
+            u[g] = ur[l];
+            v[g] = vr[l];
+        }
+    }
+    (u, v)
+}
+
+/// Replicated worlds of every rank of `partition` over `n_ranks` ranks.
+fn replicated_worlds<'a, O: Operator + DofTopology>(
+    op: &'a O,
+    setup: &LtsSetup,
+    partition: &[u32],
+    n_ranks: usize,
+    u0: &[f64],
+    v0: &[f64],
+    sources: &[Source],
+) -> Vec<RankWorld<'a, O>> {
+    assert_eq!(u0.len(), Operator::ndof(op));
+    build_plans(op, setup, partition, n_ranks)
+        .into_iter()
+        .map(|plan| RankWorld::replicated(op, setup, plan, u0, v0, sources))
+        .collect()
+}
+
+/// Run `n_steps` of distributed LTS-Newmark over `partition`, every rank
+/// holding the global operator and state, with external point sources
+/// (every rank owning a source's DOF injects it identically, so interface
+/// DOFs stay consistent). Returns the assembled global `(u, v)` and
+/// per-rank statistics; fails cleanly (no deadlock, no panic) if any rank
+/// drops out mid-run.
 #[allow(clippy::too_many_arguments)]
 pub fn run_distributed<O: Operator + DofTopology + Sync>(
     op: &O,
@@ -739,64 +993,21 @@ pub fn run_distributed<O: Operator + DofTopology + Sync>(
     v0: &[f64],
     n_steps: usize,
     cfg: &DistributedConfig,
-) -> RunResult {
-    run_distributed_with_sources(op, setup, partition, dt, u0, v0, n_steps, cfg, &[])
-}
-
-/// [`run_distributed`] with external point sources; every rank owning a
-/// source's DOF injects it identically, so interface DOFs stay consistent.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_with_sources<O: Operator + DofTopology + Sync>(
-    op: &O,
-    setup: &LtsSetup,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
     sources: &[Source],
 ) -> RunResult {
-    let n_ranks = cfg.n_ranks;
-    let endpoints = transport::make_cluster(cfg.transport, n_ranks);
-    let (outcomes, plans, _recordings) = run_endpoints_with_plans(
-        op, setup, partition, dt, u0, v0, n_steps, cfg, sources, endpoints,
-    );
-    // lowest failed rank wins, matching the pre-transport behaviour
-    let mut results = Vec::with_capacity(n_ranks);
-    for o in outcomes {
-        results.push(o?);
-    }
-
-    // assemble global state from DOF owners (lowest owning rank)
-    let ndof = Operator::ndof(op);
-    let mut owner = vec![u32::MAX; ndof];
-    for (rank, plan) in plans.iter().enumerate() {
-        for &d in &plan.my_dofs {
-            owner[d as usize] = owner[d as usize].min(rank as u32);
-        }
-    }
-    let mut u = vec![0.0; ndof];
-    let mut v = vec![0.0; ndof];
-    let mut stats: Vec<RankStats> = Vec::with_capacity(n_ranks);
-    for (rank, (ur, vr, st)) in results.into_iter().enumerate() {
-        for d in 0..ndof {
-            if owner[d] == rank as u32 {
-                u[d] = ur[d];
-                v[d] = vr[d];
-            }
-        }
-        stats.push(st);
-    }
-    Ok((u, v, stats))
+    let endpoints = transport::make_cluster(cfg.transport, cfg.n_ranks);
+    let mut worlds = replicated_worlds(op, setup, partition, cfg.n_ranks, u0, v0, sources);
+    let (outcomes, _recordings) = run_worlds(&mut worlds, endpoints, dt, n_steps, cfg, sources);
+    assemble(Operator::ndof(op), &worlds, outcomes)
 }
 
-/// Run every rank of a globally-replicated distributed run on the given
-/// transport endpoints (one per rank, e.g. from
-/// [`transport::make_cluster`] or wrapped in
+/// [`run_distributed`] on the given transport endpoints (one per rank, e.g.
+/// from [`transport::make_cluster`] or wrapped in
 /// [`crate::transport::faulty::FaultyTransport`]), returning **each rank's
-/// own outcome** instead of the first failure — the fault-injection tests
-/// assert that killing one rank yields an error on *every* rank.
+/// own outcome** and flight recording instead of the first failure — the
+/// post-mortem path: recordings come back on success *and* failure, so an
+/// injected fault still yields the material for a causally merged crash
+/// report.
 #[allow(clippy::too_many_arguments)]
 pub fn run_distributed_endpoints<O: Operator + DofTopology + Sync>(
     op: &O,
@@ -809,141 +1020,9 @@ pub fn run_distributed_endpoints<O: Operator + DofTopology + Sync>(
     cfg: &DistributedConfig,
     sources: &[Source],
     endpoints: Vec<Box<dyn Transport>>,
-) -> Vec<RankRun> {
-    run_endpoints_with_plans(
-        op, setup, partition, dt, u0, v0, n_steps, cfg, sources, endpoints,
-    )
-    .0
-}
-
-/// [`run_distributed_endpoints`] plus each rank's flight recording — the
-/// post-mortem path: recordings come back on success *and* failure, so an
-/// injected fault still yields the material for a causally merged crash
-/// report.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_endpoints_recorded<O: Operator + DofTopology + Sync>(
-    op: &O,
-    setup: &LtsSetup,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    endpoints: Vec<Box<dyn Transport>>,
 ) -> (Vec<RankRun>, Vec<RankRecording>) {
-    let (outcomes, _plans, recordings) = run_endpoints_with_plans(
-        op, setup, partition, dt, u0, v0, n_steps, cfg, sources, endpoints,
-    );
-    (outcomes, recordings)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_endpoints_with_plans<O: Operator + DofTopology + Sync>(
-    op: &O,
-    setup: &LtsSetup,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    endpoints: Vec<Box<dyn Transport>>,
-) -> (Vec<RankRun>, Vec<RankPlan>, Vec<RankRecording>) {
-    let endpoints = apply_fault_plan(endpoints, cfg.fault);
-    let n_ranks = endpoints.len();
-    let plans = build_plans(op, setup, partition, n_ranks);
-    let ndof = Operator::ndof(op);
-    assert_eq!(u0.len(), ndof);
-    let monitor = cfg
-        .stall_monitor
-        .map(|mc| StallMonitor::new(mc, n_ranks, setup.n_levels));
-    // one epoch across the rank group, so the recordings share a time axis
-    let epoch = Instant::now();
-
-    type Joined = (RankRun, RankRecording);
-    let (mut outcomes, recordings): (Vec<RankRun>, Vec<RankRecording>) =
-        std::thread::scope(|scope| {
-            let mut handles: Vec<std::thread::ScopedJoinHandle<Joined>> = Vec::new();
-            for (rank, transport) in endpoints.into_iter().enumerate() {
-                let plan = &plans[rank];
-                let cfg = *cfg;
-                let mon = monitor.clone();
-                handles.push(scope.spawn(move || {
-                    let levels = setup.n_levels;
-                    let mut my_sources: Vec<Vec<(usize, u32)>> = vec![Vec::new(); levels];
-                    for (si, src) in sources.iter().enumerate() {
-                        let d = src.dof;
-                        if plan.my_dofs.binary_search(&d).is_ok() {
-                            my_sources[setup.leaf_level[d as usize] as usize].push((si, d));
-                        }
-                    }
-                    let ctx = RankCtx {
-                        rank,
-                        op,
-                        n_levels: levels,
-                        dof_level: &setup.dof_level,
-                        plan,
-                        sources,
-                        my_sources,
-                        dt,
-                        u: u0.to_vec(),
-                        v: v0.to_vec(),
-                        uts: vec![vec![0.0; ndof]; levels],
-                        vts: vec![vec![0.0; ndof]; levels],
-                        fs: vec![vec![0.0; ndof]; levels],
-                        transport,
-                        gone: vec![false; n_ranks],
-                        inbox: vec![VecDeque::new(); n_ranks],
-                        send_seq: vec![0; n_ranks],
-                        flight: FlightRecorder::with_epoch(cfg.flight_capacity, epoch),
-                        send_buf: Vec::new(),
-                        pending: Vec::new(),
-                        cursors: Vec::new(),
-                        pool: Vec::new(),
-                        reg: MetricsRegistry::new(),
-                        timeline: Vec::new(),
-                        monitor: mon.map(|s| RankMonitor::new(s, rank)),
-                        cfg,
-                        ws: Workspace::new(),
-                        step_idx: 0,
-                        busy_since: Instant::now(),
-                    };
-                    run_rank_loop(ctx, n_steps)
-                }));
-            }
-            // join everyone before propagating: a failed rank's endpoint
-            // closes, which unblocks any peer still waiting in recv
-            // (goodbye cascade)
-            let mut runs = Vec::with_capacity(n_ranks);
-            let mut recs = Vec::with_capacity(n_ranks);
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((run, rec)) => {
-                        runs.push(run);
-                        recs.push(rec);
-                    }
-                    Err(_) => {
-                        runs.push(Err(RuntimeError::RankPanicked { rank }));
-                        recs.push(RankRecording {
-                            rank: rank as u32,
-                            dropped: 0,
-                            events: Vec::new(),
-                        });
-                    }
-                }
-            }
-            (runs, recs)
-        });
-    stamp_lambda_gauges(
-        monitor.as_deref(),
-        outcomes
-            .iter_mut()
-            .filter_map(|o| o.as_mut().ok().map(|(_, _, st)| &mut st.registry)),
-    );
-    (outcomes, plans, recordings)
+    let mut worlds = replicated_worlds(op, setup, partition, endpoints.len(), u0, v0, sources);
+    run_worlds(&mut worlds, endpoints, dt, n_steps, cfg, sources)
 }
 
 /// Run ONE rank of a globally-replicated distributed run on an
@@ -952,9 +1031,15 @@ fn run_endpoints_with_plans<O: Operator + DofTopology + Sync>(
 /// deterministically, dials the coordinator, and calls this with the
 /// resulting [`crate::transport::socket::SocketTransport`].
 ///
-/// The online stall monitor needs shared-memory aggregation across ranks,
-/// so it is not run here regardless of `cfg.stall_monitor`; the
-/// deterministic counters and busy/wait histograms are recorded as usual.
+/// Returns the rank's outcome plus its flight recording, on success *and*
+/// failure — what the worker ships back to the coordinator as a
+/// [`crate::transport::codec::Frame::Flight`] so multi-process post-mortems
+/// causally align with in-process ones. The recorder gets its own epoch
+/// here (one per OS process); the causal merge never compares raw
+/// timestamps across ranks. The online stall monitor needs shared-memory
+/// aggregation across ranks, so it is not run here regardless of
+/// `cfg.stall_monitor`; the deterministic counters and busy/wait histograms
+/// are recorded as usual.
 #[allow(clippy::too_many_arguments)]
 pub fn run_rank_endpoint<O: Operator>(
     op: &O,
@@ -968,224 +1053,11 @@ pub fn run_rank_endpoint<O: Operator>(
     cfg: &DistributedConfig,
     sources: &[Source],
     transport: Box<dyn Transport>,
-) -> RankRun {
-    run_rank_endpoint_recorded(
-        op, setup, plan, rank, dt, u0, v0, n_steps, cfg, sources, transport,
-    )
-    .0
-}
-
-/// [`run_rank_endpoint`] plus this rank's flight recording, returned on
-/// success *and* failure — what `wave-lts worker` ships back to the
-/// coordinator as a [`crate::transport::codec::Frame::Flight`] so
-/// multi-process post-mortems causally align with in-process ones. The
-/// recorder gets its own epoch here (one per OS process); the causal merge
-/// never compares raw timestamps across ranks.
-#[allow(clippy::too_many_arguments)]
-pub fn run_rank_endpoint_recorded<O: Operator>(
-    op: &O,
-    setup: &LtsSetup,
-    plan: &RankPlan,
-    rank: usize,
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    transport: Box<dyn Transport>,
 ) -> (RankRun, RankRecording) {
-    let n_ranks = transport.n_ranks();
-    let ndof = u0.len();
-    let levels = setup.n_levels;
-    let mut my_sources: Vec<Vec<(usize, u32)>> = vec![Vec::new(); levels];
-    for (si, src) in sources.iter().enumerate() {
-        if plan.my_dofs.binary_search(&src.dof).is_ok() {
-            my_sources[setup.leaf_level[src.dof as usize] as usize].push((si, src.dof));
-        }
-    }
-    let ctx = RankCtx {
-        rank,
-        op,
-        n_levels: levels,
-        dof_level: &setup.dof_level,
-        plan,
-        sources,
-        my_sources,
-        dt,
-        u: u0.to_vec(),
-        v: v0.to_vec(),
-        uts: vec![vec![0.0; ndof]; levels],
-        vts: vec![vec![0.0; ndof]; levels],
-        fs: vec![vec![0.0; ndof]; levels],
-        transport,
-        gone: vec![false; n_ranks],
-        inbox: vec![VecDeque::new(); n_ranks],
-        send_seq: vec![0; n_ranks],
-        flight: FlightRecorder::new(cfg.flight_capacity),
-        send_buf: Vec::new(),
-        pending: Vec::new(),
-        cursors: Vec::new(),
-        pool: Vec::new(),
-        reg: MetricsRegistry::new(),
-        timeline: Vec::new(),
-        monitor: None,
-        cfg: *cfg,
-        ws: Workspace::new(),
-        step_idx: 0,
-        busy_since: Instant::now(),
-    };
+    let mut world = RankWorld::replicated(op, setup, plan.clone(), u0, v0, sources);
+    let flight = FlightRecorder::new(cfg.flight_capacity);
+    let ctx = RankCtx::new(rank, &mut world, transport, *cfg, sources, dt, flight, None);
     run_rank_loop(ctx, n_steps)
-}
-
-/// One rank's complete owned world for the distributed-memory runner
-/// (see [`crate::local`]): a private operator, plan and state in rank-local
-/// numbering.
-pub struct LocalRank<O: Operator> {
-    pub op: O,
-    pub n_levels: usize,
-    pub dof_level: Vec<u8>,
-    pub leaf_level: Vec<u8>,
-    pub plan: RankPlan,
-    pub u: Vec<f64>,
-    pub v: Vec<f64>,
-    /// Per leaf level: (source index, rank-local DOF).
-    pub my_sources: Vec<Vec<(usize, u32)>>,
-    /// Global DOF id of each local DOF (for final assembly).
-    pub global_of_local: Vec<u32>,
-}
-
-/// Spawn one thread per pre-built [`LocalRank`] world and run `n_steps` over
-/// the configured transport backend. Returns each rank's final
-/// `(u, v, global_of_local)` plus statistics.
-pub fn run_rank_contexts<O: Operator + Send>(
-    ranks: Vec<LocalRank<O>>,
-    dt: f64,
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-) -> Result<(Vec<RankResult>, Vec<RankStats>), RuntimeError> {
-    let (outcomes, _recordings) = run_rank_contexts_recorded(ranks, dt, n_steps, cfg, sources);
-    let mut flat_results: Vec<RankResult> = Vec::with_capacity(outcomes.len());
-    let mut flat_stats: Vec<RankStats> = Vec::with_capacity(outcomes.len());
-    // lowest failed rank wins, matching the pre-recorder behaviour
-    for o in outcomes {
-        let (res, st) = o?;
-        flat_results.push(res);
-        flat_stats.push(st);
-    }
-    Ok((flat_results, flat_stats))
-}
-
-/// One rank's outcome from [`run_rank_contexts_recorded`].
-pub type RankContextRun = Result<(RankResult, RankStats), RuntimeError>;
-
-/// [`run_rank_contexts`] returning **each rank's own outcome** plus its
-/// flight recording — on failure the recordings are exactly the material a
-/// crash report needs, and the λ gauges are already stamped into every
-/// surviving rank's registry.
-pub fn run_rank_contexts_recorded<O: Operator + Send>(
-    ranks: Vec<LocalRank<O>>,
-    dt: f64,
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-) -> (Vec<RankContextRun>, Vec<RankRecording>) {
-    let n_ranks = ranks.len();
-    let monitor = cfg.stall_monitor.map(|mc| {
-        let n_levels = ranks.first().map_or(1, |r| r.n_levels);
-        StallMonitor::new(mc, n_ranks, n_levels)
-    });
-    let endpoints = apply_fault_plan(transport::make_cluster(cfg.transport, n_ranks), cfg.fault);
-    let epoch = Instant::now();
-    type Joined = (
-        Result<(Vec<f64>, Vec<f64>, Vec<u32>, RankStats), RuntimeError>,
-        RankRecording,
-    );
-    let (mut outcomes, recordings): (Vec<_>, Vec<RankRecording>) = std::thread::scope(|scope| {
-        let mut handles: Vec<std::thread::ScopedJoinHandle<Joined>> = Vec::new();
-        for ((rank, world), transport) in ranks.into_iter().enumerate().zip(endpoints) {
-            let cfg = *cfg;
-            let mon = monitor.clone();
-            handles.push(scope.spawn(move || {
-                let LocalRank {
-                    op,
-                    n_levels,
-                    dof_level,
-                    leaf_level: _,
-                    plan,
-                    u,
-                    v,
-                    my_sources,
-                    global_of_local,
-                } = world;
-                let ndof = u.len();
-                let ctx = RankCtx {
-                    rank,
-                    op: &op,
-                    n_levels,
-                    dof_level: &dof_level,
-                    plan: &plan,
-                    sources,
-                    my_sources,
-                    dt,
-                    u,
-                    v,
-                    uts: vec![vec![0.0; ndof]; n_levels],
-                    vts: vec![vec![0.0; ndof]; n_levels],
-                    fs: vec![vec![0.0; ndof]; n_levels],
-                    transport,
-                    gone: vec![false; n_ranks],
-                    inbox: vec![VecDeque::new(); n_ranks],
-                    send_seq: vec![0; n_ranks],
-                    flight: FlightRecorder::with_epoch(cfg.flight_capacity, epoch),
-                    send_buf: Vec::new(),
-                    pending: Vec::new(),
-                    cursors: Vec::new(),
-                    pool: Vec::new(),
-                    reg: MetricsRegistry::new(),
-                    timeline: Vec::new(),
-                    monitor: mon.map(|s| RankMonitor::new(s, rank)),
-                    cfg,
-                    ws: Workspace::new(),
-                    step_idx: 0,
-                    busy_since: Instant::now(),
-                };
-                let (run, rec) = run_rank_loop(ctx, n_steps);
-                (run.map(|(u, v, st)| (u, v, global_of_local, st)), rec)
-            }));
-        }
-        let mut runs = Vec::with_capacity(n_ranks);
-        let mut recs = Vec::with_capacity(n_ranks);
-        for (rank, h) in handles.into_iter().enumerate() {
-            match h.join() {
-                Ok((run, rec)) => {
-                    runs.push(run);
-                    recs.push(rec);
-                }
-                Err(_) => {
-                    runs.push(Err(RuntimeError::RankPanicked { rank }));
-                    recs.push(RankRecording {
-                        rank: rank as u32,
-                        dropped: 0,
-                        events: Vec::new(),
-                    });
-                }
-            }
-        }
-        (runs, recs)
-    });
-    stamp_lambda_gauges(
-        monitor.as_deref(),
-        outcomes
-            .iter_mut()
-            .filter_map(|o| o.as_mut().ok().map(|(_, _, _, st)| &mut st.registry)),
-    );
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.map(|(u, v, map, st)| ((u, v, map), st)))
-        .collect();
-    (outcomes, recordings)
 }
 
 #[cfg(test)]
@@ -1222,7 +1094,7 @@ mod tests {
         let part: Vec<u32> = (0..16).map(|e| u32::from(e >= 8)).collect();
         let cfg = DistributedConfig::new(2);
         let (ud, vd, stats) =
-            run_distributed(&c, &setup, &part, 0.5, &u0, &[0.0; 17], 30, &cfg).unwrap();
+            run_distributed(&c, &setup, &part, 0.5, &u0, &[0.0; 17], 30, &cfg, &[]).unwrap();
         for i in 0..17 {
             assert_eq!(us[i], ud[i], "u[{i}]");
             assert_eq!(vs[i], vd[i], "v[{i}]");
@@ -1249,7 +1121,8 @@ mod tests {
         let (us, _) = serial(&c, &setup, dt, &u0, 20);
         let part: Vec<u32> = (0..24).map(|e| (e / 6) as u32).collect();
         let cfg = DistributedConfig::new(4);
-        let (ud, _, _) = run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &cfg).unwrap();
+        let (ud, _, _) =
+            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &cfg, &[]).unwrap();
         for i in 0..25 {
             assert!(
                 (us[i] - ud[i]).abs() < 1e-13,
@@ -1274,7 +1147,8 @@ mod tests {
         // interleaved ownership → many interfaces
         let part: Vec<u32> = (0..12).map(|e| (e % 3) as u32).collect();
         let cfg = DistributedConfig::new(3);
-        let (ud, _, _) = run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 13], 15, &cfg).unwrap();
+        let (ud, _, _) =
+            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 13], 15, &cfg, &[]).unwrap();
         for i in 0..13 {
             assert!((us[i] - ud[i]).abs() < 1e-13, "u[{i}]");
         }
@@ -1288,7 +1162,7 @@ mod tests {
         let (us, _) = serial(&c, &setup, 0.5, &u0, 10);
         let cfg = DistributedConfig::new(1);
         let (ud, _, stats) =
-            run_distributed(&c, &setup, &[0; 8], 0.5, &u0, &[0.0; 9], 10, &cfg).unwrap();
+            run_distributed(&c, &setup, &[0; 8], 0.5, &u0, &[0.0; 9], 10, &cfg, &[]).unwrap();
         assert_eq!(us, ud);
         assert_eq!(stats[0].n_exchanges, 0);
     }
@@ -1317,9 +1191,9 @@ mod tests {
             ..blocking
         };
         let (ub, vb, sb) =
-            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &blocking).unwrap();
+            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &blocking, &[]).unwrap();
         let (uo, vo, so) =
-            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &overlapped).unwrap();
+            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &overlapped, &[]).unwrap();
         for i in 0..25 {
             assert_eq!(ub[i].to_bits(), uo[i].to_bits(), "u[{i}]");
             assert_eq!(vb[i].to_bits(), vo[i].to_bits(), "v[{i}]");
@@ -1352,14 +1226,14 @@ mod tests {
                 ..DistributedConfig::new(3)
             };
             let (uc, vc, sc) =
-                run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 13], 15, &base).unwrap();
+                run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 13], 15, &base, &[]).unwrap();
             for kind in [TransportKind::SharedRing, TransportKind::UnixSocket] {
                 let cfg = DistributedConfig {
                     transport: kind,
                     ..base
                 };
                 let (u, v, st) =
-                    run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 13], 15, &cfg).unwrap();
+                    run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 13], 15, &cfg, &[]).unwrap();
                 for i in 0..13 {
                     assert_eq!(uc[i].to_bits(), u[i].to_bits(), "{kind:?} u[{i}]");
                     assert_eq!(vc[i].to_bits(), v[i].to_bits(), "{kind:?} v[{i}]");
@@ -1411,7 +1285,7 @@ mod tests {
         };
         let u0 = gaussian(17);
         let (_, _, stats) =
-            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 17], 50, &cfg).unwrap();
+            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 17], 50, &cfg, &[]).unwrap();
         // rank 0 (coarse only) waits more than rank 1
         assert!(
             stats[0].wait_s > stats[1].wait_s,
@@ -1443,7 +1317,7 @@ mod tests {
         };
         let u0 = gaussian(17);
         let (_, _, stats) =
-            run_distributed(&c, &setup, &part, 0.5, &u0, &[0.0; 17], 60, &cfg).unwrap();
+            run_distributed(&c, &setup, &part, 0.5, &u0, &[0.0; 17], 60, &cfg, &[]).unwrap();
         let posthoc = lambda_from_stats(&stats);
         assert!(!posthoc.is_empty());
         for &(l, lam) in &posthoc {
@@ -1505,9 +1379,9 @@ mod tests {
             ..on
         };
         let (u1, v1, s1) =
-            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &on).unwrap();
+            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &on, &[]).unwrap();
         let (u0r, v0r, s0) =
-            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &off).unwrap();
+            run_distributed(&c, &setup, &part, dt, &u0, &[0.0; 25], 20, &off, &[]).unwrap();
         for i in 0..25 {
             assert_eq!(u1[i].to_bits(), u0r[i].to_bits(), "u[{i}]");
             assert_eq!(v1[i].to_bits(), v0r[i].to_bits(), "v[{i}]");
@@ -1548,7 +1422,7 @@ mod tests {
             ..DistributedConfig::new(3)
         };
         let endpoints = transport::make_cluster(cfg.transport, 3);
-        let (outcomes, recs) = run_distributed_endpoints_recorded(
+        let (outcomes, recs) = run_distributed_endpoints(
             &c,
             &setup,
             &part,
@@ -1583,7 +1457,7 @@ mod tests {
             ..DistributedConfig::new(2)
         };
         let (_, _, stats) =
-            run_distributed(&c, &setup, &part, 0.5, &u0, &[0.0; 9], 5, &cfg).unwrap();
+            run_distributed(&c, &setup, &part, 0.5, &u0, &[0.0; 9], 5, &cfg, &[]).unwrap();
         for st in &stats {
             let msgs = st
                 .registry

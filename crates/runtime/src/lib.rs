@@ -27,16 +27,11 @@ pub mod stats;
 pub mod transport;
 
 pub use distributed::{
-    flight_capacity_from_env, run_distributed, run_distributed_endpoints,
-    run_distributed_endpoints_recorded, run_distributed_with_sources, run_rank_endpoint,
-    run_rank_endpoint_recorded, DistributedConfig, RankRun,
+    flight_capacity_from_env, run_distributed, run_distributed_endpoints, run_rank_endpoint,
+    DistributedConfig, RankRun,
 };
 pub use error::RuntimeError;
-pub use local::{
-    run_distributed_local_acoustic, run_distributed_local_acoustic_flight,
-    run_distributed_local_acoustic_observed, run_distributed_local_elastic,
-    run_distributed_local_elastic_flight, run_distributed_local_elastic_observed,
-};
+pub use local::{run_distributed_local_acoustic_flight, run_distributed_local_elastic_flight};
 pub use monitor::{eq21_lambda, MonitorConfig, StallMonitor, StallWarning};
 pub use postmortem::CrashReport;
 pub use stats::{

@@ -1,56 +1,91 @@
-//! Distributed-*memory* execution: each rank builds a compact local
-//! sub-operator over its own elements ([`lts_sem::UnstructuredAcoustic`]),
-//! so per-rank state scales with the partition size instead of the mesh —
-//! the actual memory model of an MPI code like SPECFEM3D.
+//! Distributed-*memory* execution: the decomposer cuts the mesh into one
+//! compact world per rank — a sub-operator over the rank's own elements
+//! plus its exchange plan, level metadata, state and sources, all
+//! renumbered to rank-local DOFs — so per-rank state scales with the
+//! partition size instead of the mesh, the memory model of an MPI code like
+//! SPECFEM3D.
 //!
-//! The stepping and exchange logic is the shared [`crate::distributed`]
-//! rank context; only the index spaces change (everything is translated to
-//! rank-local DOF/element numbering up front). Verified bitwise against the
-//! serial stepper.
+//! This is the *rank-local* world constructor; the *replicated* one and the
+//! driver both runs share live in [`crate::distributed`]. One builder serves
+//! both physics through the small `LocalOperator` trait:
+//! [`UnstructuredAcoustic`] has one DOF per mesh node,
+//! [`UnstructuredElastic`] three (`dof = 3·node + comp`). Verified bitwise
+//! against the serial stepper and across transports.
 
-use crate::distributed::RunResult;
 use crate::distributed::{
-    run_rank_contexts_recorded, DistributedConfig, LocalRank, RankContextRun, RankResult,
+    assemble, level_sources, run_worlds, DistributedConfig, RankWorld, RunResult,
 };
-use crate::exchange::build_plans;
-use crate::exchange::RankPlan;
-use crate::stats::RankStats;
-use crate::RuntimeError;
-use lts_core::{LtsSetup, Operator, Source};
+use crate::exchange::{build_plans, RankPlan};
+use crate::transport;
+use lts_core::{DofTopology, LtsSetup, Operator, Source};
 use lts_mesh::{HexMesh, Levels};
 use lts_obs::{MetricsRegistry, RankRecording};
 use lts_sem::{AcousticOperator, ElasticOperator, UnstructuredAcoustic, UnstructuredElastic};
+
+/// A rank-local sub-operator the decomposer cuts from a global one.
+trait LocalOperator: Operator + Sync + Sized {
+    /// DOFs per mesh node: global DOF `= COMPONENTS·node + comp`.
+    const COMPONENTS: u32;
+    /// The global operator the decomposer discretizes first.
+    type Global: Operator + DofTopology;
+    fn global(mesh: &HexMesh, order: usize) -> Self::Global;
+    /// The sub-operator over `elems`, with the globally assembled mass of
+    /// each node from `mass_of_node`, and the global node of each local node
+    /// (ascending).
+    fn from_subset(
+        mesh: &HexMesh,
+        order: usize,
+        elems: &[u32],
+        mass_of_node: &dyn Fn(u32) -> f64,
+    ) -> (Self, Vec<u32>);
+}
+
+impl LocalOperator for UnstructuredAcoustic {
+    const COMPONENTS: u32 = 1;
+    type Global = AcousticOperator;
+    fn global(mesh: &HexMesh, order: usize) -> AcousticOperator {
+        AcousticOperator::new(mesh, order)
+    }
+    fn from_subset(
+        mesh: &HexMesh,
+        order: usize,
+        elems: &[u32],
+        mass_of_node: &dyn Fn(u32) -> f64,
+    ) -> (Self, Vec<u32>) {
+        UnstructuredAcoustic::from_subset(mesh, order, elems, Some(mass_of_node))
+    }
+}
+
+impl LocalOperator for UnstructuredElastic {
+    const COMPONENTS: u32 = 3;
+    type Global = ElasticOperator;
+    fn global(mesh: &HexMesh, order: usize) -> ElasticOperator {
+        ElasticOperator::poisson(mesh, order)
+    }
+    fn from_subset(
+        mesh: &HexMesh,
+        order: usize,
+        elems: &[u32],
+        mass_of_node: &dyn Fn(u32) -> f64,
+    ) -> (Self, Vec<u32>) {
+        UnstructuredElastic::from_subset(mesh, order, elems, Some(mass_of_node))
+    }
+}
 
 /// Run partitioned LTS with per-rank local memory on the acoustic SEM.
 ///
 /// Builds the global setup and mass once (as a real code would during its
 /// mesher/decomposer phase), then hands each rank only its own slice of the
-/// world. Returns the assembled global `(u, v)` and per-rank statistics.
+/// world. Records the decomposer phases (`decompose.discretize`,
+/// `decompose.build_worlds`, `run.steps`) as spans in `host` and, on
+/// success, folds every rank's registry into it so `host` ends with the
+/// global counter totals. Returns the assembled global `(u, v)` and
+/// per-rank statistics, plus every rank's drained flight-recorder ring.
+/// Recordings come back on the `Err` side too — they are the crash-report
+/// material when a rank dies mid-run (the error is the lowest failed
+/// rank's).
 #[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_acoustic(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-) -> RunResult {
-    let mut host = MetricsRegistry::new();
-    run_distributed_local_acoustic_observed(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, &mut host,
-    )
-}
-
-/// [`run_distributed_local_acoustic`] recording the decomposer phases
-/// (`decompose.discretize`, `decompose.build_worlds`, `run.steps`) as spans
-/// in `host`, and folding every rank's registry into it so `host` ends with
-/// the global counter totals.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_acoustic_observed(
+pub fn run_distributed_local_acoustic_flight(
     mesh: &HexMesh,
     levels: &Levels,
     order: usize,
@@ -62,20 +97,35 @@ pub fn run_distributed_local_acoustic_observed(
     cfg: &DistributedConfig,
     sources: &[Source],
     host: &mut MetricsRegistry,
-) -> RunResult {
-    run_distributed_local_acoustic_flight(
+) -> (RunResult, Vec<RankRecording>) {
+    run_local::<UnstructuredAcoustic>(
         mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
     )
-    .0
 }
 
-/// [`run_distributed_local_acoustic_observed`] that additionally returns
-/// every rank's drained flight-recorder ring. Recordings come back on the
-/// `Err` side too — that is the whole point: they are the crash-report
-/// material when a rank dies mid-run (the error is the lowest failed
-/// rank's, matching the non-flight variants).
+/// [`run_distributed_local_acoustic_flight`] for the elastic operator: local
+/// node numbering with three interleaved components per node.
 #[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_acoustic_flight(
+pub fn run_distributed_local_elastic_flight(
+    mesh: &HexMesh,
+    levels: &Levels,
+    order: usize,
+    partition: &[u32],
+    dt: f64,
+    u0: &[f64],
+    v0: &[f64],
+    n_steps: usize,
+    cfg: &DistributedConfig,
+    sources: &[Source],
+    host: &mut MetricsRegistry,
+) -> (RunResult, Vec<RankRecording>) {
+    run_local::<UnstructuredElastic>(
+        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
+    )
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run_local<L: LocalOperator>(
     mesh: &HexMesh,
     levels: &Levels,
     order: usize,
@@ -91,388 +141,121 @@ pub fn run_distributed_local_acoustic_flight(
     let n_ranks = cfg.n_ranks;
     // global discretization (mass + level sets), as the decomposer computes
     let discretize = host.start_span("decompose.discretize", None);
-    let global_op = AcousticOperator::new(mesh, order);
+    let global_op = L::global(mesh, order);
     let setup = LtsSetup::new(&global_op, &levels.elem_level);
     let ndof = Operator::ndof(&global_op);
     assert_eq!(u0.len(), ndof);
     let plans = build_plans(&global_op, &setup, partition, n_ranks);
-    let global_mass = global_op.mass().to_vec();
-    drop(discretize);
-    host.set_gauge("ndof", ndof as f64);
-    host.set_gauge("n_ranks", n_ranks as f64);
-
-    // per-rank local worlds
-    let worlds_span = host.start_span("decompose.build_worlds", None);
-    let mut ranks: Vec<LocalRank<UnstructuredAcoustic>> = Vec::with_capacity(n_ranks);
-    for (rank, plan) in plans.iter().enumerate() {
-        let my_elems_global: Vec<u32> = (0..mesh.n_elems() as u32)
-            .filter(|&e| partition[e as usize] == rank as u32)
-            .collect();
-        let (local_op, global_of_local) = UnstructuredAcoustic::from_subset(
-            mesh,
-            order,
-            &my_elems_global,
-            Some(&|g| global_mass[g as usize]),
-        );
-        // index translations
-        let local_dof = |g: u32| -> u32 {
-            // The plan only names DOFs of elements this rank owns, so a miss
-            // is a plan-construction bug, not a runtime condition.
-            global_of_local
-                .binary_search(&g)
-                .expect("dof not owned by rank") as u32 // lint: allow(no-panic) — plan-construction invariant, not a runtime condition
-        };
-        let local_elem: std::collections::HashMap<u32, u32> = my_elems_global
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (g, l as u32))
-            .collect();
-        let nl = setup.n_levels;
-        let map_dofs = |lists: &Vec<Vec<u32>>| -> Vec<Vec<u32>> {
-            lists
-                .iter()
-                .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                .collect()
-        };
-        let localized = RankPlan {
-            my_elems: (0..nl)
-                .map(|l| plan.my_elems[l].iter().map(|e| local_elem[e]).collect())
-                .collect(),
-            my_boundary_elems: (0..nl)
-                .map(|l| {
-                    plan.my_boundary_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_interior_elems: (0..nl)
-                .map(|l| {
-                    plan.my_interior_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_zero: map_dofs(&plan.my_zero),
-            my_active: map_dofs(&plan.my_active),
-            my_leaf: map_dofs(&plan.my_leaf),
-            my_dofs: (0..global_of_local.len() as u32).collect(),
-            peers: plan.peers.clone(),
-            pair_dofs: plan
-                .pair_dofs
-                .iter()
-                .map(|per_peer| {
-                    per_peer
-                        .iter()
-                        .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                        .collect()
-                })
-                .collect(),
-            shared: plan
-                .shared
-                .iter()
-                .map(|l| l.iter().map(|(d, r)| (local_dof(*d), r.clone())).collect())
-                .collect(),
-        };
-        // local level metadata
-        let dof_level: Vec<u8> = global_of_local
-            .iter()
-            .map(|&g| setup.dof_level[g as usize])
-            .collect();
-        let leaf_level: Vec<u8> = global_of_local
-            .iter()
-            .map(|&g| setup.leaf_level[g as usize])
-            .collect();
-        let u_local: Vec<f64> = global_of_local.iter().map(|&g| u0[g as usize]).collect();
-        let v_local: Vec<f64> = global_of_local.iter().map(|&g| v0[g as usize]).collect();
-        let my_sources: Vec<Vec<(usize, u32)>> = {
-            let mut per_level = vec![Vec::new(); nl];
-            for (si, src) in sources.iter().enumerate() {
-                if let Ok(l) = global_of_local.binary_search(&src.dof) {
-                    per_level[setup.leaf_level[src.dof as usize] as usize].push((si, l as u32));
-                }
-            }
-            per_level
-        };
-        ranks.push(LocalRank {
-            op: local_op,
-            n_levels: nl,
-            dof_level,
-            leaf_level,
-            plan: localized,
-            u: u_local,
-            v: v_local,
-            my_sources,
-            global_of_local,
-        });
-    }
-    drop(worlds_span);
-
-    let run_span = host.start_span("run.steps", None);
-    let (outcomes, recordings) = run_rank_contexts_recorded(ranks, dt, n_steps, cfg, sources);
-    drop(run_span);
-    let (results, stats) = match split_outcomes(outcomes) {
-        Ok(pair) => pair,
-        Err(e) => return (Err(e), recordings),
-    };
-    for s in &stats {
-        host.merge_from(&s.registry);
-    }
-
-    // assemble: lowest owning rank provides each dof
-    let mut owner = vec![u32::MAX; ndof];
-    for (rank, plan) in plans.iter().enumerate() {
-        for &d in &plan.my_dofs {
-            owner[d as usize] = owner[d as usize].min(rank as u32);
-        }
-    }
-    let mut u = vec![0.0; ndof];
-    let mut v = vec![0.0; ndof];
-    for (rank, (u_local, v_local, global_of_local)) in results.into_iter().enumerate() {
-        for (l, &g) in global_of_local.iter().enumerate() {
-            if owner[g as usize] == rank as u32 {
-                u[g as usize] = u_local[l];
-                v[g as usize] = v_local[l];
-            }
-        }
-    }
-    (Ok((u, v, stats)), recordings)
-}
-
-/// Flatten per-rank outcomes: all `Ok` → `(results, stats)`, otherwise the
-/// lowest failed rank's error (ID order — deterministic across runs).
-fn split_outcomes(
-    outcomes: Vec<RankContextRun>,
-) -> Result<(Vec<RankResult>, Vec<RankStats>), RuntimeError> {
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut stats = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        let (res, st) = o?;
-        results.push(res);
-        stats.push(st);
-    }
-    Ok((results, stats))
-}
-
-/// [`run_distributed_local_acoustic`] for the elastic operator: local node
-/// numbering with three interleaved components per node.
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_elastic(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-) -> RunResult {
-    let mut host = MetricsRegistry::new();
-    run_distributed_local_elastic_observed(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, &mut host,
-    )
-}
-
-/// [`run_distributed_local_elastic`] with decomposer-phase spans and global
-/// counter totals recorded into `host` (see the acoustic observed variant).
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_elastic_observed(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    host: &mut MetricsRegistry,
-) -> RunResult {
-    run_distributed_local_elastic_flight(
-        mesh, levels, order, partition, dt, u0, v0, n_steps, cfg, sources, host,
-    )
-    .0
-}
-
-/// [`run_distributed_local_elastic_observed`] returning the flight-recorder
-/// rings alongside the result (see the acoustic flight variant).
-#[allow(clippy::too_many_arguments)]
-pub fn run_distributed_local_elastic_flight(
-    mesh: &HexMesh,
-    levels: &Levels,
-    order: usize,
-    partition: &[u32],
-    dt: f64,
-    u0: &[f64],
-    v0: &[f64],
-    n_steps: usize,
-    cfg: &DistributedConfig,
-    sources: &[Source],
-    host: &mut MetricsRegistry,
-) -> (RunResult, Vec<RankRecording>) {
-    let n_ranks = cfg.n_ranks;
-    let discretize = host.start_span("decompose.discretize", None);
-    let global_op = ElasticOperator::poisson(mesh, order);
-    let setup = LtsSetup::new(&global_op, &levels.elem_level);
-    let ndof = Operator::ndof(&global_op);
-    assert_eq!(u0.len(), ndof);
-    let plans = build_plans(&global_op, &setup, partition, n_ranks);
-    let global_mass = global_op.mass().to_vec();
     drop(discretize);
     host.set_gauge("ndof", ndof as f64);
     host.set_gauge("n_ranks", n_ranks as f64);
 
     let worlds_span = host.start_span("decompose.build_worlds", None);
-    let mut ranks: Vec<LocalRank<UnstructuredElastic>> = Vec::with_capacity(n_ranks);
-    for (rank, plan) in plans.iter().enumerate() {
-        let my_elems_global: Vec<u32> = (0..mesh.n_elems() as u32)
-            .filter(|&e| partition[e as usize] == rank as u32)
-            .collect();
-        let (local_op, node_of_local) = UnstructuredElastic::from_subset(
-            mesh,
-            order,
-            &my_elems_global,
-            Some(&|g| global_mass[3 * g as usize]),
-        );
-        // dof translation: global dof = 3·node + comp
-        let local_dof = |g: u32| -> u32 {
-            let node = g / 3;
-            let comp = g % 3;
-            // Same decompose-time invariant as the acoustic variant:
-            // plans never name foreign nodes.
-            // lint: allow(no-panic) — decompose-time structural invariant
-            3 * node_of_local.binary_search(&node).expect("node not owned") as u32 + comp
-        };
-        let local_elem: std::collections::HashMap<u32, u32> = my_elems_global
-            .iter()
-            .enumerate()
-            .map(|(l, &g)| (g, l as u32))
-            .collect();
-        let nl = setup.n_levels;
-        let map_dofs = |lists: &Vec<Vec<u32>>| -> Vec<Vec<u32>> {
-            lists
-                .iter()
-                .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                .collect()
-        };
-        let n_local_dofs = 3 * node_of_local.len();
-        let localized = RankPlan {
-            my_elems: (0..nl)
-                .map(|l| plan.my_elems[l].iter().map(|e| local_elem[e]).collect())
-                .collect(),
-            my_boundary_elems: (0..nl)
-                .map(|l| {
-                    plan.my_boundary_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_interior_elems: (0..nl)
-                .map(|l| {
-                    plan.my_interior_elems[l]
-                        .iter()
-                        .map(|e| local_elem[e])
-                        .collect()
-                })
-                .collect(),
-            my_zero: map_dofs(&plan.my_zero),
-            my_active: map_dofs(&plan.my_active),
-            my_leaf: map_dofs(&plan.my_leaf),
-            my_dofs: (0..n_local_dofs as u32).collect(),
-            peers: plan.peers.clone(),
-            pair_dofs: plan
-                .pair_dofs
-                .iter()
-                .map(|per_peer| {
-                    per_peer
-                        .iter()
-                        .map(|l| l.iter().map(|&d| local_dof(d)).collect())
-                        .collect()
-                })
-                .collect(),
-            shared: plan
-                .shared
-                .iter()
-                .map(|l| l.iter().map(|(d, r)| (local_dof(*d), r.clone())).collect())
-                .collect(),
-        };
-        let global_dof_of_local: Vec<u32> = (0..n_local_dofs as u32)
-            .map(|ld| 3 * node_of_local[(ld / 3) as usize] + ld % 3)
-            .collect();
-        let dof_level: Vec<u8> = global_dof_of_local
-            .iter()
-            .map(|&g| setup.dof_level[g as usize])
-            .collect();
-        let leaf_level: Vec<u8> = global_dof_of_local
-            .iter()
-            .map(|&g| setup.leaf_level[g as usize])
-            .collect();
-        let u_local: Vec<f64> = global_dof_of_local
-            .iter()
-            .map(|&g| u0[g as usize])
-            .collect();
-        let v_local: Vec<f64> = global_dof_of_local
-            .iter()
-            .map(|&g| v0[g as usize])
-            .collect();
-        let my_sources: Vec<Vec<(usize, u32)>> = {
-            let mut per_level = vec![Vec::new(); nl];
-            for (si, src) in sources.iter().enumerate() {
-                let node = src.dof / 3;
-                if let Ok(ln) = node_of_local.binary_search(&node) {
-                    let ld = 3 * ln as u32 + src.dof % 3;
-                    per_level[setup.leaf_level[src.dof as usize] as usize].push((si, ld));
-                }
-            }
-            per_level
-        };
-        ranks.push(LocalRank {
-            op: local_op,
-            n_levels: nl,
-            dof_level,
-            leaf_level,
-            plan: localized,
-            u: u_local,
-            v: v_local,
-            my_sources,
-            global_of_local: global_dof_of_local,
-        });
+    let mut elems_of = vec![Vec::new(); n_ranks];
+    for (e, &r) in partition.iter().enumerate() {
+        elems_of[r as usize].push(e as u32);
     }
+    let mass = global_op.mass();
+    let c = L::COMPONENTS as usize;
+    let ops: Vec<(L, Vec<u32>)> = elems_of
+        .iter()
+        .map(|elems| L::from_subset(mesh, order, elems, &|n| mass[c * n as usize]))
+        .collect();
+    drop(global_op);
+    let mut worlds = rank_local_worlds(&ops, &elems_of, plans, &setup, u0, v0, sources);
     drop(worlds_span);
 
     let run_span = host.start_span("run.steps", None);
-    let (outcomes, recordings) = run_rank_contexts_recorded(ranks, dt, n_steps, cfg, sources);
+    let endpoints = transport::make_cluster(cfg.transport, n_ranks);
+    let (outcomes, recordings) = run_worlds(&mut worlds, endpoints, dt, n_steps, cfg, sources);
     drop(run_span);
-    let (results, stats) = match split_outcomes(outcomes) {
-        Ok(pair) => pair,
-        Err(e) => return (Err(e), recordings),
-    };
-    for s in &stats {
-        host.merge_from(&s.registry);
+    let result = assemble(ndof, &worlds, outcomes);
+    if let Ok((_, _, stats)) = &result {
+        for s in stats {
+            host.merge_from(&s.registry);
+        }
     }
+    (result, recordings)
+}
 
-    let mut owner = vec![u32::MAX; ndof];
-    for (rank, plan) in plans.iter().enumerate() {
-        for &d in &plan.my_dofs {
-            owner[d as usize] = owner[d as usize].min(rank as u32);
-        }
-    }
-    let mut u = vec![0.0; ndof];
-    let mut v = vec![0.0; ndof];
-    for (rank, (u_local, v_local, global_of_local)) in results.into_iter().enumerate() {
-        for (l, &g) in global_of_local.iter().enumerate() {
-            if owner[g as usize] == rank as u32 {
-                u[g as usize] = u_local[l];
-                v[g as usize] = v_local[l];
+/// Every rank's world on its own sub-operator: `ops[r]` is rank `r`'s
+/// operator with its local→global node map, `elems_of[r]` its elements
+/// (global ids, ascending). Each global plan is relabelled in place to
+/// local element and DOF numbering through flat maps.
+fn rank_local_worlds<'a, L: LocalOperator>(
+    ops: &'a [(L, Vec<u32>)],
+    elems_of: &[Vec<u32>],
+    plans: Vec<RankPlan>,
+    setup: &LtsSetup,
+    u0: &[f64],
+    v0: &[f64],
+    sources: &[Source],
+) -> Vec<RankWorld<'a, L>> {
+    const ABSENT: u32 = u32::MAX;
+    let c = L::COMPONENTS;
+    let mut local_of_global = vec![ABSENT; u0.len()];
+    let mut local_elem = vec![0u32; elems_of.iter().map(Vec::len).sum()];
+    ops.iter()
+        .zip(elems_of)
+        .zip(plans)
+        .map(|(((op, nodes), elems), mut plan)| {
+            let global_of_local: Vec<u32> = nodes
+                .iter()
+                .flat_map(|&n| (0..c).map(move |k| c * n + k))
+                .collect();
+            for (l, &g) in global_of_local.iter().enumerate() {
+                local_of_global[g as usize] = l as u32;
             }
-        }
+            for (l, &e) in elems.iter().enumerate() {
+                local_elem[e as usize] = l as u32;
+            }
+            for lists in [
+                &mut plan.my_elems,
+                &mut plan.my_boundary_elems,
+                &mut plan.my_interior_elems,
+            ] {
+                relabel(lists, &local_elem);
+            }
+            for lists in [&mut plan.my_zero, &mut plan.my_active, &mut plan.my_leaf]
+                .into_iter()
+                .chain(plan.pair_dofs.iter_mut())
+            {
+                relabel(lists, &local_of_global);
+            }
+            for (d, _) in plan.shared.iter_mut().flatten() {
+                *d = local_of_global[*d as usize];
+            }
+            plan.my_dofs = (0..global_of_local.len() as u32).collect();
+            let sources = level_sources(setup, sources, |g| {
+                Some(local_of_global[g as usize]).filter(|&l| l != ABSENT)
+            });
+            let gather = |x: &[f64]| global_of_local.iter().map(|&g| x[g as usize]).collect();
+            let world = RankWorld {
+                op,
+                plan,
+                dof_level: global_of_local
+                    .iter()
+                    .map(|&g| setup.dof_level[g as usize])
+                    .collect(),
+                u: gather(u0),
+                v: gather(v0),
+                sources,
+                global_of_local,
+            };
+            // the next rank's source lookup must not see this rank's DOFs
+            for &g in &world.global_of_local {
+                local_of_global[g as usize] = ABSENT;
+            }
+            world
+        })
+        .collect()
+}
+
+/// Map every id in `lists` through `to`.
+fn relabel(lists: &mut [Vec<u32>], to: &[u32]) {
+    for id in lists.iter_mut().flatten() {
+        *id = to[*id as usize];
     }
-    (Ok((u, v, stats)), recordings)
 }
 
 #[cfg(test)]
@@ -515,7 +298,7 @@ mod tests {
         let n_ranks = 3;
         let part = partition_mesh(&b.mesh, &b.levels, n_ranks, Strategy::ScotchP, 1);
         let cfg = DistributedConfig::new(n_ranks);
-        let (u, _, stats) = run_distributed_local_acoustic(
+        let (u, _, stats) = run_distributed_local_acoustic_flight(
             &b.mesh,
             &b.levels,
             order,
@@ -526,7 +309,9 @@ mod tests {
             4,
             &cfg,
             &[],
+            &mut MetricsRegistry::new(),
         )
+        .0
         .unwrap();
         let scale = reference.iter().fold(1.0f64, |m, &x| m.max(x.abs()));
         for i in 0..ndof {
@@ -559,7 +344,7 @@ mod tests {
             ..DistributedConfig::new(n_ranks)
         };
         let srcs = mk();
-        let (u, _, _) = run_distributed_local_acoustic(
+        let (u, _, _) = run_distributed_local_acoustic_flight(
             &b.mesh,
             &b.levels,
             order,
@@ -570,7 +355,9 @@ mod tests {
             5,
             &cfg,
             &srcs,
+            &mut MetricsRegistry::new(),
         )
+        .0
         .unwrap();
         let scale = reference.iter().fold(1e-30f64, |m, &x| m.max(x.abs()));
         for i in 0..ndof {
@@ -600,7 +387,7 @@ mod tests {
         let n_ranks = 3;
         let part = partition_mesh(&b.mesh, &b.levels, n_ranks, Strategy::ScotchP, 1);
         let cfg = DistributedConfig::new(n_ranks);
-        let (u, _, _) = run_distributed_local_elastic(
+        let (u, _, _) = run_distributed_local_elastic_flight(
             &b.mesh,
             &b.levels,
             order,
@@ -611,7 +398,9 @@ mod tests {
             3,
             &cfg,
             &[],
+            &mut MetricsRegistry::new(),
         )
+        .0
         .unwrap();
         let scale = u_ref.iter().fold(1.0f64, |m, &x| m.max(x.abs()));
         for i in 0..ndof {

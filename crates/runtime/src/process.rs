@@ -25,7 +25,7 @@
 //! reports the first casualty as [`RuntimeError::RankPanicked`]. Nothing
 //! deadlocks: the coordinator polls child liveness while it waits.
 
-use crate::distributed::RunResult;
+use crate::distributed::{lowest_owner_fields, RunResult};
 use crate::error::RuntimeError;
 use crate::stats::RankStats;
 use crate::transport::codec::{self, Frame, StreamError, WireStats};
@@ -84,22 +84,10 @@ pub fn worker_connect(
 }
 
 /// Report a finished worker's results on a fresh connection: one `Stats`
-/// frame, one `Done` frame, then a clean shutdown. `u`/`v` are in
-/// rank-local numbering, positionally matching `global_of_local`.
-pub fn worker_report(
-    path: &Path,
-    rank: usize,
-    stats: &RankStats,
-    u: &[f64],
-    v: &[f64],
-    global_of_local: &[u32],
-) -> std::io::Result<()> {
-    worker_report_flight(path, rank, stats, u, v, global_of_local, None)
-}
-
-/// [`worker_report`] also shipping the rank's drained flight-recorder ring
-/// as a `Flight` frame (between `Stats` and `Done`), so the coordinator's
-/// merged post-mortem view covers real OS processes too.
+/// frame, then the rank's drained flight-recorder ring as a `Flight` frame
+/// (if given, so the coordinator's merged post-mortem view covers real OS
+/// processes too), then one `Done` frame and a clean shutdown. `u`/`v` are
+/// in rank-local numbering, positionally matching `global_of_local`.
 pub fn worker_report_flight(
     path: &Path,
     rank: usize,
@@ -154,15 +142,11 @@ pub fn worker_report_crash(path: &Path, recording: &RankRecording) -> std::io::R
 
 /// Spawn `n_ranks` worker processes, route their halo traffic, collect
 /// their results, and assemble the global `(u, v)` plus per-rank stats.
-pub fn run_coordinator(spec: &ProcSpec) -> RunResult {
-    run_coordinator_flight(spec).0
-}
-
-/// [`run_coordinator`] also returning whatever flight recordings the fleet
-/// shipped over the wire — index-aligned with ranks, empty for a rank whose
-/// recording never arrived. Recordings come back on the `Err` side too:
-/// after a casualty the coordinator holds the accept loop open briefly so
-/// surviving (and dying) workers can land their crash `Flight` frames.
+/// Also returns whatever flight recordings the fleet shipped over the wire
+/// — index-aligned with ranks, empty for a rank whose recording never
+/// arrived. Recordings come back on the `Err` side too: after a casualty
+/// the coordinator holds the accept loop open briefly so surviving (and
+/// dying) workers can land their crash `Flight` frames.
 pub fn run_coordinator_flight(spec: &ProcSpec) -> (RunResult, Vec<RankRecording>) {
     let n = spec.n_ranks;
     let mut flight: Vec<Option<RankRecording>> = vec![None; n];
@@ -450,34 +434,23 @@ fn start_routers(halo: &mut [Option<UnixStream>]) -> Result<(), RuntimeError> {
 /// Rebuild per-rank stats and assemble the global fields: lowest owning
 /// rank wins each DOF, exactly like the in-process runners.
 fn assemble(stats: Vec<Option<WireStats>>, done: Vec<Option<DoneFrame>>) -> RunResult {
-    let mut ndof = 0usize;
-    for d in done.iter().flatten() {
-        for &g in &d.2 {
-            ndof = ndof.max(g as usize + 1);
-        }
-    }
-    let mut owner = vec![u32::MAX; ndof];
-    for (rank, d) in done.iter().enumerate() {
-        if let Some((_, _, map)) = d {
-            for &g in map {
-                let o = &mut owner[g as usize];
-                *o = (*o).min(rank as u32);
-            }
-        }
-    }
-    let mut u = vec![0.0; ndof];
-    let mut v = vec![0.0; ndof];
-    for (rank, d) in done.into_iter().enumerate() {
-        let Some((ur, vr, map)) = d else {
-            return Err(RuntimeError::MissingRank { rank });
-        };
-        for (i, &g) in map.iter().enumerate() {
-            if owner[g as usize] == rank as u32 {
-                u[g as usize] = ur[i];
-                v[g as usize] = vr[i];
-            }
-        }
-    }
+    let done = done
+        .into_iter()
+        .enumerate()
+        .map(|(rank, d)| d.ok_or(RuntimeError::MissingRank { rank }))
+        .collect::<Result<Vec<DoneFrame>, _>>()?;
+    let ndof = done
+        .iter()
+        .flat_map(|(_, _, map)| map.iter().map(|&g| g as usize + 1))
+        .max()
+        .unwrap_or(0);
+    let (u, v) = lowest_owner_fields(
+        ndof,
+        done.iter().map(|(u, v, map)| {
+            let held = map.iter().enumerate().map(|(l, &g)| (l, g as usize));
+            (u.as_slice(), v.as_slice(), held)
+        }),
+    );
     let mut out = Vec::with_capacity(stats.len());
     for (rank, s) in stats.into_iter().enumerate() {
         let Some(ws) = s else {

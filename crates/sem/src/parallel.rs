@@ -1,11 +1,13 @@
 //! Shared-memory parallel operator application via element colouring.
 //!
-//! On a structured hex mesh the 8 parity classes `(i%2, j%2, k%2)` are
-//! independent sets: two elements of the same colour never share a GLL node,
-//! so their stiffness scatters touch disjoint DOFs and can run on worker
-//! threads without synchronization. Colours are processed one after
-//! another — the result is deterministic (within a colour every DOF receives
-//! contributions from exactly one element).
+//! A greedy colouring splits an element list into classes whose members
+//! never share a scatter target, so same-colour stiffness scatters touch
+//! disjoint DOFs and can run on worker threads without synchronization.
+//! Colours are processed one after another — the result is deterministic
+//! (within a colour every DOF receives contributions from exactly one
+//! element). The compiled gather plans (`compiled.rs`) colour every masked
+//! element list this way and drive `par_colored` with the rank's
+//! `threads_per_rank` workers.
 //!
 //! This is the per-node parallelism of the paper's platform (8 cores per
 //! node under MPI); combined with `lts-runtime` it gives the familiar
@@ -18,11 +20,9 @@
 //! in `tests/loom_model.rs`, which drives the same [`chunk_range`] split
 //! used here.
 
-use crate::acoustic::AcousticOperator;
-use crate::compiled::ScalarScratch;
 use crate::disjoint::DisjointOut;
 
-/// The 8 parity colour classes of a structured mesh.
+/// Element classes that share no scatter target within a class.
 #[derive(Debug, Clone)]
 pub struct ElementColoring {
     /// `classes[c]` = element ids of colour `c`.
@@ -30,15 +30,6 @@ pub struct ElementColoring {
 }
 
 impl ElementColoring {
-    pub fn new(dofmap: &crate::dofmap::DofMap) -> Self {
-        let mut classes: Vec<Vec<u32>> = vec![Vec::new(); 8];
-        for e in 0..dofmap.n_elems() as u32 {
-            let (i, j, k) = dofmap.elem_ijk(e);
-            classes[(i % 2) + 2 * (j % 2) + 4 * (k % 2)].push(e);
-        }
-        ElementColoring { classes }
-    }
-
     /// Greedy first-fit colouring of an arbitrary element list: walk the
     /// list in order and give each element the smallest colour not yet used
     /// by any element sharing one of its scatter targets. Deterministic —
@@ -73,22 +64,6 @@ impl ElementColoring {
             classes[c].push(e);
         }
         ElementColoring { classes }
-    }
-
-    /// Restrict every class to the given element subset (e.g. one level's
-    /// masked list).
-    pub fn restricted(&self, elems: &[u32], n_elems: usize) -> ElementColoring {
-        let mut member = vec![false; n_elems];
-        for &e in elems {
-            member[e as usize] = true;
-        }
-        ElementColoring {
-            classes: self
-                .classes
-                .iter()
-                .map(|c| c.iter().copied().filter(|&e| member[e as usize]).collect())
-                .collect(),
-        }
     }
 
     /// Flatten into the colour-major `(order, color_off)` representation the
@@ -175,94 +150,11 @@ pub(crate) fn par_colored<S: Send>(
     });
 }
 
-/// Parallel `out = A u` for the acoustic operator: flattens the colouring
-/// and drives the colored executor with one scratch set per available core.
-pub fn apply_parallel(
-    op: &AcousticOperator,
-    coloring: &ElementColoring,
-    u: &[f64],
-    out: &mut [f64],
-) {
-    out.fill(0.0);
-    let (order, color_off) = coloring.flatten();
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = hw.min(8).min(order.len().max(1));
-    let npe = op.dofmap.nodes_per_elem();
-    let mut scratch: Vec<ScalarScratch> = (0..threads).map(|_| ScalarScratch::new(npe)).collect();
-    par_colored(out, &color_off, &mut scratch, |pos, sc, o| {
-        op.apply_one_scratch(order[pos], u, sc, o);
-    });
-}
-
-impl AcousticOperator {
-    /// Apply one element's `M⁻¹K_e` contribution (used by the coloured
-    /// parallel driver).
-    pub fn apply_masked_one(&self, e: u32, u: &[f64], out: &mut [f64]) {
-        let npe = self.dofmap.nodes_per_elem();
-        let mut sc = ScalarScratch::new(npe);
-        self.apply_one_scratch(e, u, &mut sc, out);
-    }
-
-    /// Allocation-free single-element apply with caller-provided scratch.
-    // lint: hot-path
-    fn apply_one_scratch(&self, e: u32, u: &[f64], sc: &mut ScalarScratch, out: &mut [f64]) {
-        self.gather_pub(e, u, &mut sc.loc);
-        self.elem_stiffness_scatter_pub(e, &sc.loc, &mut sc.tmp, &mut sc.der, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lts_core::Operator;
+    use crate::acoustic::AcousticOperator;
     use lts_mesh::HexMesh;
-
-    #[test]
-    fn coloring_is_conflict_free() {
-        let m = HexMesh::uniform(4, 3, 3, 1.0, 1.0);
-        let op = AcousticOperator::new(&m, 2);
-        let coloring = ElementColoring::new(&op.dofmap);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        for class in &coloring.classes {
-            for (i, &e1) in class.iter().enumerate() {
-                for &e2 in class.iter().skip(i + 1) {
-                    op.dofmap.elem_nodes(e1, &mut a);
-                    op.dofmap.elem_nodes(e2, &mut b);
-                    assert!(
-                        a.iter().all(|d| !b.contains(d)),
-                        "same-colour elements {e1} and {e2} share DOFs"
-                    );
-                }
-            }
-        }
-        let total: usize = coloring.classes.iter().map(|c| c.len()).sum();
-        assert_eq!(total, m.n_elems());
-    }
-
-    #[test]
-    fn parallel_apply_matches_serial() {
-        let mut m = HexMesh::uniform(4, 4, 3, 1.0, 1.0);
-        m.paint_box((2, 4), (0, 4), (0, 3), 2.0, 1.3);
-        let op = AcousticOperator::new(&m, 3);
-        let coloring = ElementColoring::new(&op.dofmap);
-        let n = Operator::ndof(&op);
-        let u: Vec<f64> = (0..n)
-            .map(|i| ((i * 31 % 29) as f64) / 29.0 - 0.5)
-            .collect();
-        let mut serial = vec![0.0; n];
-        op.apply(&u, &mut serial);
-        let mut parallel = vec![0.0; n];
-        apply_parallel(&op, &coloring, &u, &mut parallel);
-        for i in 0..n {
-            assert!(
-                (serial[i] - parallel[i]).abs() < 1e-12 * (1.0 + serial[i].abs()),
-                "dof {i}: {} vs {}",
-                serial[i],
-                parallel[i]
-            );
-        }
-    }
 
     #[test]
     fn greedy_coloring_is_conflict_free_and_list_invariant() {
@@ -331,22 +223,6 @@ mod tests {
                 for p in lo..hi {
                     assert_eq!(seen[p], 1, "pos {p} for {threads} threads on {lo}..{hi}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn restricted_coloring_covers_subset() {
-        let m = HexMesh::uniform(3, 3, 3, 1.0, 1.0);
-        let op = AcousticOperator::new(&m, 2);
-        let coloring = ElementColoring::new(&op.dofmap);
-        let subset: Vec<u32> = (0..10).collect();
-        let r = coloring.restricted(&subset, m.n_elems());
-        let total: usize = r.classes.iter().map(|c| c.len()).sum();
-        assert_eq!(total, 10);
-        for class in &r.classes {
-            for e in class {
-                assert!(subset.contains(e));
             }
         }
     }

@@ -42,6 +42,7 @@ fn main() {
             &v0,
             steps,
             &cfg,
+            &[],
         )
         .expect("distributed run failed");
         println!(

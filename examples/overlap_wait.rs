@@ -74,7 +74,7 @@ fn measure(w: &World, overlap: bool, latency: Duration, reps: usize) -> Cell {
     for _ in 0..reps {
         let endpoints = channel_cluster_with_latency(RANKS, latency);
         let started = std::time::Instant::now();
-        let outcomes = run_distributed_endpoints(
+        let (outcomes, _) = run_distributed_endpoints(
             &w.op,
             &w.setup,
             &w.part,

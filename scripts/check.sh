@@ -12,6 +12,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== cargo test --workspace (every crate's unit and integration tests)"
+cargo test --workspace -q
+
 echo "== cargo xtask lint (semantic call-graph tier + lexer fallback, SARIF to target/lint.sarif)"
 cargo xtask lint --sarif target/lint.sarif
 

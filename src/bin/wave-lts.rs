@@ -333,7 +333,10 @@ fn run_sim_distributed(
         let runs = [("simulate", stats.as_slice())];
         match std::fs::write(trace_out, chrome_trace(&runs).render()) {
             Ok(()) => println!("Chrome trace (chrome://tracing, Perfetto): {trace_out}"),
-            Err(e) => eprintln!("could not write {trace_out}: {e}"),
+            Err(e) => {
+                eprintln!("could not write {trace_out}: {e}");
+                std::process::exit(1);
+            }
         }
     }
 }
@@ -428,7 +431,10 @@ fn run_sim_multiprocess(
         let trace = wave_lts::obs::flight_chrome_trace(&recordings);
         match std::fs::write(trace_out, trace.render()) {
             Ok(()) => println!("Chrome trace (merged from {ranks} workers): {trace_out}"),
-            Err(e) => eprintln!("could not write {trace_out}: {e}"),
+            Err(e) => {
+                eprintln!("could not write {trace_out}: {e}");
+                std::process::exit(1);
+            }
         }
     }
     let _ = b;
@@ -470,7 +476,7 @@ fn worker_run<O: Operator + wave_lts::lts::DofTopology>(
     use wave_lts::runtime::exchange::build_plans;
     use wave_lts::runtime::process::{worker_connect, worker_report_crash, worker_report_flight};
     use wave_lts::runtime::transport::faulty;
-    use wave_lts::runtime::{run_rank_endpoint_recorded, DistributedConfig, TransportKind};
+    use wave_lts::runtime::{run_rank_endpoint, DistributedConfig, TransportKind};
 
     let steps: usize = get(m, "steps", 20);
     let threads: usize = get(m, "threads", 1);
@@ -508,7 +514,7 @@ fn worker_run<O: Operator + wave_lts::lts::DofTopology>(
             endpoint = faulty::wrap(endpoint, fault_plan);
         }
     }
-    let (outcome, recording) = run_rank_endpoint_recorded(
+    let (outcome, recording) = run_rank_endpoint(
         op,
         &setup,
         plan,

@@ -42,7 +42,7 @@ fn distributed_sem_matches_serial_all_strategies() {
         let part = partition_mesh(&b.mesh, &b.levels, n_ranks, strategy, 1);
         let cfg = DistributedConfig::new(n_ranks);
         let (u, _, stats) =
-            run_distributed(&op, &setup, &part, dt, &u0, &vec![0.0; ndof], 4, &cfg).unwrap();
+            run_distributed(&op, &setup, &part, dt, &u0, &vec![0.0; ndof], 4, &cfg, &[]).unwrap();
         let scale = reference.iter().fold(1.0f64, |m, &x| m.max(x.abs()));
         for i in 0..ndof {
             assert!(
@@ -72,7 +72,7 @@ fn distributed_scales_to_many_ranks() {
         let part = partition_mesh(&b.mesh, &b.levels, n_ranks, Strategy::ScotchP, 1);
         let cfg = DistributedConfig::new(n_ranks);
         let (u, _, _) =
-            run_distributed(&op, &setup, &part, dt, &u0, &vec![0.0; ndof], 3, &cfg).unwrap();
+            run_distributed(&op, &setup, &part, dt, &u0, &vec![0.0; ndof], 3, &cfg, &[]).unwrap();
         let scale = reference.iter().fold(1.0f64, |m, &x| m.max(x.abs()));
         let max_dev = (0..ndof)
             .map(|i| (u[i] - reference[i]).abs())
@@ -87,7 +87,6 @@ fn distributed_scales_to_many_ranks() {
 #[test]
 fn distributed_with_sources_matches_serial() {
     use wave_lts::lts::Source;
-    use wave_lts::runtime::distributed::run_distributed_with_sources;
     let b = BenchmarkMesh::build(MeshKind::Trench, 600);
     let order = 2;
     let op = AcousticOperator::new(&b.mesh, order);
@@ -113,7 +112,7 @@ fn distributed_with_sources_matches_serial() {
     let part = partition_mesh(&b.mesh, &b.levels, n_ranks, Strategy::ScotchP, 1);
     let cfg = DistributedConfig::new(n_ranks);
     let srcs = mk();
-    let (u, _, _) = run_distributed_with_sources(
+    let (u, _, _) = run_distributed(
         &op,
         &setup,
         &part,
@@ -195,7 +194,7 @@ fn run_with_faults(
             overlap,
             ..DistributedConfig::new(3)
         };
-        let outcomes = run_distributed_endpoints(
+        let (outcomes, _) = run_distributed_endpoints(
             &c,
             &setup,
             &part,
@@ -318,7 +317,7 @@ mod crash_reports {
     use wave_lts::obs::{merge_recordings, EventKind, Json, RankRecording};
     use wave_lts::runtime::postmortem::{reason_for, CrashReport};
     use wave_lts::runtime::transport::{self, faulty, TransportKind};
-    use wave_lts::runtime::{run_distributed_endpoints_recorded, DistributedConfig, RankRun};
+    use wave_lts::runtime::{run_distributed_endpoints, DistributedConfig, RankRun};
 
     /// `run_with_faults`, but through the recorded entry point so the
     /// drained flight rings come back alongside the outcomes.
@@ -345,7 +344,7 @@ mod crash_reports {
                 flight_capacity: 512,
                 ..DistributedConfig::new(3)
             };
-            let out = run_distributed_endpoints_recorded(
+            let out = run_distributed_endpoints(
                 &c,
                 &setup,
                 &part,
@@ -507,8 +506,18 @@ fn work_accounting_matches_partition() {
     let part = partition_mesh(&b.mesh, &b.levels, n_ranks, Strategy::ScotchP, 1);
     let cfg = DistributedConfig::new(n_ranks);
     let steps = 2;
-    let (_, _, stats) =
-        run_distributed(&op, &setup, &part, dt, &u0, &vec![0.0; ndof], steps, &cfg).unwrap();
+    let (_, _, stats) = run_distributed(
+        &op,
+        &setup,
+        &part,
+        dt,
+        &u0,
+        &vec![0.0; ndof],
+        steps,
+        &cfg,
+        &[],
+    )
+    .unwrap();
     // total distributed element-ops = serial masked ops
     let total: u64 = stats.iter().map(|s| s.elem_ops).sum();
     assert_eq!(total, steps as u64 * setup.lts_elem_ops());

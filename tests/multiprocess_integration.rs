@@ -10,7 +10,7 @@ use std::time::Duration;
 use wave_lts::lts::{LtsSetup, Operator};
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
 use wave_lts::partition::{partition_mesh, Strategy};
-use wave_lts::runtime::process::{run_coordinator, ProcSpec};
+use wave_lts::runtime::process::{run_coordinator_flight, ProcSpec};
 use wave_lts::runtime::{run_distributed, DistributedConfig};
 use wave_lts::sem::gll::cfl_dt_scale;
 use wave_lts::sem::AcousticOperator;
@@ -64,7 +64,7 @@ fn worker_processes_match_in_process_bitwise() {
             ..DistributedConfig::new(ranks)
         };
         let (u_ref, v_ref, stats_ref) =
-            run_distributed(&op, &setup, &part, dt, &u0, &v0, STEPS, &cfg).unwrap();
+            run_distributed(&op, &setup, &part, dt, &u0, &v0, STEPS, &cfg, &[]).unwrap();
 
         let spec = ProcSpec {
             bin: env!("CARGO_BIN_EXE_wave-lts").into(),
@@ -72,7 +72,8 @@ fn worker_processes_match_in_process_bitwise() {
             n_ranks: ranks,
             timeout: Duration::from_secs(300),
         };
-        let (u, v, stats) = run_coordinator(&spec)
+        let (u, v, stats) = run_coordinator_flight(&spec)
+            .0
             .unwrap_or_else(|e| panic!("{ranks} ranks overlap={overlap}: {e}"));
 
         assert_eq!(u.len(), ndof, "{ranks} ranks: assembled field size");
@@ -108,5 +109,5 @@ fn coordinator_reports_worker_failure_cleanly() {
         n_ranks: 2,
         timeout: Duration::from_secs(60),
     };
-    assert!(run_coordinator(&spec).is_err());
+    assert!(run_coordinator_flight(&spec).0.is_err());
 }

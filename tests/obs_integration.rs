@@ -15,7 +15,7 @@ use wave_lts::mesh::{HexMesh, Levels};
 use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::{exchange_oracle, partition_mesh, Strategy};
 use wave_lts::runtime::stats::names;
-use wave_lts::runtime::{run_distributed_local_acoustic_observed, DistributedConfig};
+use wave_lts::runtime::{run_distributed_local_acoustic_flight, DistributedConfig};
 use wave_lts::sem::gll::cfl_dt_scale;
 use wave_lts::sem::AcousticOperator;
 
@@ -85,7 +85,7 @@ fn run_observed_threads(
     };
     let v0 = vec![0.0; f.ndof];
     let mut host = MetricsRegistry::new();
-    let (_, _, stats) = run_distributed_local_acoustic_observed(
+    let (_, _, stats) = run_distributed_local_acoustic_flight(
         &f.mesh,
         &f.levels,
         ORDER,
@@ -98,6 +98,7 @@ fn run_observed_threads(
         &[],
         &mut host,
     )
+    .0
     .unwrap();
     // the RankStats view must agree with the merged registry
     let by_view: u64 = stats.iter().map(|s| s.elem_ops).sum();
@@ -190,7 +191,7 @@ fn threaded_ranks_keep_counters_and_fields_exact() {
             ..DistributedConfig::new(n_ranks)
         };
         let mut host = MetricsRegistry::new();
-        run_distributed_local_acoustic_observed(
+        run_distributed_local_acoustic_flight(
             &f.mesh,
             &f.levels,
             ORDER,
@@ -203,6 +204,7 @@ fn threaded_ranks_keep_counters_and_fields_exact() {
             &[],
             &mut host,
         )
+        .0
         .unwrap()
     };
     let (u1, v1, _) = run(1);
@@ -286,7 +288,7 @@ fn chrome_trace_round_trips_and_matches_timeline() {
     };
     let v0 = vec![0.0; f.ndof];
     let mut host = MetricsRegistry::new();
-    let (_, _, stats) = run_distributed_local_acoustic_observed(
+    let (_, _, stats) = run_distributed_local_acoustic_flight(
         &f.mesh,
         &f.levels,
         ORDER,
@@ -299,6 +301,7 @@ fn chrome_trace_round_trips_and_matches_timeline() {
         &[],
         &mut host,
     )
+    .0
     .unwrap();
     let rendered = chrome_trace(&[("integration", &stats)]).render();
     // the exporter's own parser/validator must accept its output

@@ -140,7 +140,7 @@ proptest! {
         let run = |kind: TransportKind, overlap: bool| {
             let cfg = DistributedConfig { transport: kind, overlap,
                 ..DistributedConfig::new(n_ranks) };
-            run_distributed(&c, &setup, &part, dt, &u0, &vec![0.0; n], 6, &cfg)
+            run_distributed(&c, &setup, &part, dt, &u0, &vec![0.0; n], 6, &cfg, &[])
                 .expect("distributed run")
         };
         let (ur, vr, sr) = run(TransportKind::Channel, false);

@@ -11,7 +11,7 @@ use wave_lts::mesh::{HexMesh, Levels};
 use wave_lts::obs::MetricsRegistry;
 use wave_lts::partition::exchange_oracle;
 use wave_lts::runtime::stats::names;
-use wave_lts::runtime::{run_distributed_local_acoustic_observed, DistributedConfig};
+use wave_lts::runtime::{run_distributed_local_acoustic_flight, DistributedConfig};
 use wave_lts::sem::gll::cfl_dt_scale;
 use wave_lts::sem::AcousticOperator;
 
@@ -52,9 +52,9 @@ proptest! {
         // distributed run with merged host registry
         let cfg = DistributedConfig::new(k);
         let mut host = MetricsRegistry::new();
-        let (u, _, stats) = run_distributed_local_acoustic_observed(
+        let (u, _, stats) = run_distributed_local_acoustic_flight(
             &mesh, &levels, ORDER, &part, dt, &u0, &v0, steps, &cfg, &[], &mut host,
-        )
+        ).0
         .unwrap();
 
         let o = exchange_oracle(&mesh, &levels, &part);
