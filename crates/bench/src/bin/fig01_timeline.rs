@@ -6,7 +6,7 @@
 //! Runs the *real* threaded message-passing runtime with amplified
 //! per-element work and prints measured busy/stall bars.
 
-use lts_bench::Args;
+use lts_bench::{write_output, Args};
 use lts_core::{Chain1d, LtsSetup};
 use lts_obs::Json;
 use lts_runtime::stats::{ascii_timeline, chrome_trace, lambda_from_stats, profile_json};
@@ -99,21 +99,15 @@ fn main() {
         ("steps".to_string(), Json::UInt(steps as u64)),
         ("runs".to_string(), Json::Arr(runs)),
     ]);
-    match std::fs::write(&profile_path, doc.render_pretty()) {
-        Ok(()) => {
-            println!("\nwrote per-rank per-level busy/wait/exchange profile to {profile_path}")
-        }
-        Err(e) => eprintln!("\ncould not write {profile_path}: {e}"),
-    }
+    write_output(&profile_path, doc.render_pretty());
+    println!("\nwrote per-rank per-level busy/wait/exchange profile to {profile_path}");
     if !trace_path.is_empty() {
         let borrowed: Vec<(&str, &[lts_runtime::RankStats])> = traced
             .iter()
             .map(|(n, s)| (n.as_str(), s.as_slice()))
             .collect();
-        match std::fs::write(&trace_path, chrome_trace(&borrowed).render()) {
-            Ok(()) => println!("wrote Chrome trace (chrome://tracing, Perfetto) to {trace_path}"),
-            Err(e) => eprintln!("could not write {trace_path}: {e}"),
-        }
+        write_output(&trace_path, chrome_trace(&borrowed).render());
+        println!("wrote Chrome trace (chrome://tracing, Perfetto) to {trace_path}");
     }
     println!(
         "\npaper's Fig. 1: the level-oblivious split stalls one processor at every ∆τ sub-step;"

@@ -5,7 +5,7 @@
 //! Paper values (2.5M elements): MeTiS 34/88/89 %, PaToH.05 11/17/19 %,
 //! PaToH.01 2/5/7 %, SCOTCH-P 6/6/7 %.
 
-use lts_bench::{build_mesh, Args, Table};
+use lts_bench::{build_mesh, write_output, Args, Table};
 use lts_mesh::MeshKind;
 use lts_obs::{registry_to_csv, MetricsRegistry};
 use lts_partition::{load_imbalance, partition_mesh, partition_mesh_observed, Strategy};
@@ -78,8 +78,6 @@ fn main() {
         }
     }
     t2.print();
-    match std::fs::write(&csv_path, csv) {
-        Ok(()) => println!("\nwrote partitioner metrics (K = {k}) to {csv_path}"),
-        Err(e) => eprintln!("\ncould not write {csv_path}: {e}"),
-    }
+    write_output(&csv_path, csv);
+    println!("\nwrote partitioner metrics (K = {k}) to {csv_path}");
 }

@@ -2,7 +2,7 @@
 //! the LTS-Newmark implementation (the properties the companion paper \[15\]
 //! proves; here they are measured).
 
-use lts_bench::{Args, Table};
+use lts_bench::{write_output, Args, Table};
 use lts_core::spectral::{exact_stable_dt, is_stable_at};
 use lts_core::{Chain1d, LtsNewmark, LtsSetup, Newmark, TwoLevelLts};
 use lts_obs::{registry_to_json, MetricsRegistry};
@@ -158,8 +158,6 @@ fn main() {
     convergence_table(&mut reg);
     stability_table(&mut reg);
     two_level_p_sweep(&mut reg);
-    match std::fs::write(&json_path, registry_to_json(&reg).render_pretty()) {
-        Ok(()) => println!("\nwrote verification metrics to {json_path}"),
-        Err(e) => eprintln!("\ncould not write {json_path}: {e}"),
-    }
+    write_output(&json_path, registry_to_json(&reg).render_pretty());
+    println!("\nwrote verification metrics to {json_path}");
 }

@@ -130,6 +130,16 @@ pub fn sci(x: f64) -> String {
     format!("{mant:.1}e{exp}")
 }
 
+/// Write an output file the user asked for, or report the failure as
+/// `could not write <path>: <error>` and exit 1 — a run whose requested
+/// output is missing must not look successful.
+pub fn write_output(path: &str, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("could not write {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

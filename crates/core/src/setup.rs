@@ -33,7 +33,7 @@ pub struct LtsSetup {
     pub active: Vec<Vec<u32>>,
     /// `leaf[k] = active[k] \ active[k+1]`.
     pub leaf: Vec<Vec<u32>>,
-    /// `touched[k]`: union of DOFs of `elems[k]`.
+    /// `touched[k]`: union of DOFs of `elems[k]`, ascending.
     pub touched: Vec<Vec<u32>>,
     /// Per-DOF leaf level: the level whose sub-stepping integrates this DOF
     /// (the largest `k` with the DOF in `active[k]`, 0 otherwise).
@@ -116,20 +116,25 @@ impl LtsSetup {
             leaf[m].push(d);
         }
 
-        // touched[k] = DOFs of elems[k]
-        let mut touched: Vec<Vec<u32>> = vec![Vec::new(); n_levels];
-        let mut stamp = vec![u32::MAX; ndof];
-        for (k, (elems_k, touched_k)) in elems.iter().zip(touched.iter_mut()).enumerate() {
+        // touched[k] = DOFs of elems[k], ascending: bit k of in_level[d]
+        // marks d ∈ touched[k]
+        let mut in_level = vec![0u16; ndof];
+        for (k, elems_k) in elems.iter().enumerate() {
             for &e in elems_k {
                 topo.elem_dofs(e, &mut dofs);
                 for &d in &dofs {
-                    if stamp[d as usize] != k as u32 {
-                        stamp[d as usize] = k as u32;
-                        touched_k.push(d);
-                    }
+                    in_level[d as usize] |= 1 << k;
                 }
             }
         }
+        // one list at a time, so no two grow side by side in the heap
+        let touched: Vec<Vec<u32>> = (0..n_levels)
+            .map(|k| {
+                (0..ndof as u32)
+                    .filter(|&d| in_level[d as usize] & (1 << k) != 0)
+                    .collect()
+            })
+            .collect();
 
         LtsSetup {
             n_levels,

@@ -19,6 +19,9 @@
 //! reason = "amortized: key set is fixed after the first step"
 //! ```
 //!
+//! A bare `function` names every function of that name in the file;
+//! `Type::name` names only the methods of `impl … Type` blocks.
+//!
 //! `#` comments and blank lines are ignored; anything else is a hard error
 //! with a line number, so a typo can't silently drop a policy entry. Every
 //! entry is validated against the symbol table after parsing — an entry

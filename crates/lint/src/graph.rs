@@ -213,12 +213,21 @@ impl Workspace {
         cands.clone()
     }
 
-    /// All functions in `file` named `name`.
+    /// All functions in `file` named `name`, or with `Type::name` only the
+    /// methods of `impl … Type` blocks.
     pub fn lookup(&self, file: &str, name: &str) -> Vec<FnId> {
+        let (ty, name) = match name.rsplit_once("::") {
+            Some((ty, name)) => (Some(ty), name),
+            None => (None, name),
+        };
         self.fns
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.file == file && n.f.name == name)
+            .filter(|(_, n)| {
+                n.file == file
+                    && n.f.name == name
+                    && ty.is_none_or(|t| n.f.impl_type.as_deref() == Some(t))
+            })
             .map(|(id, _)| id)
             .collect()
     }
@@ -421,6 +430,18 @@ mod tests {
             .map(|e| e.callee)
             .collect();
         assert_eq!(callees, vec![g_same]);
+    }
+
+    #[test]
+    fn qualified_lookup_keeps_only_that_impl() {
+        let src = "impl X { fn new() {} }\nimpl Y { fn new() {} }\nfn new() {}\n";
+        let w = ws(&[("crates/a/src/lib.rs", src)]);
+        let file = "crates/a/src/lib.rs";
+        assert_eq!(w.lookup(file, "new").len(), 3);
+        let x = w.lookup(file, "X::new");
+        assert_eq!(x.len(), 1);
+        assert_eq!(w.qualified(x[0]), "X::new");
+        assert!(w.lookup(file, "Z::new").is_empty());
     }
 
     #[test]

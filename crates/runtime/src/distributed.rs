@@ -39,7 +39,9 @@ use crate::transport::faulty::{self, FaultPlan};
 use crate::transport::{self, Recv, Transport, TransportError, TransportKind};
 use lts_core::{DofTopology, LtsSetup, Operator, Source, Workspace};
 use lts_obs::{EventKind, FlightRecorder, MetricsRegistry, RankRecording, NO_LEVEL, NO_PEER};
+use lts_sem::pool::{for_each_listed, WorkerPool};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Upper bound on one blocking receive inside the exchange loop. A healthy
@@ -218,6 +220,9 @@ struct RankCtx<'a, O: Operator> {
     cfg: DistributedConfig,
     /// Operator scratch + compiled gather lists, reused across all steps.
     ws: Workspace,
+    /// The rank's worker pool (`threads_per_rank − 1` workers), shared with
+    /// the operator through `ws`; `None` at one thread per rank.
+    workers: Option<Arc<WorkerPool>>,
     step_idx: u32,
     busy_since: Instant,
 }
@@ -333,6 +338,7 @@ impl<'a, O: Operator> RankCtx<'a, O> {
             monitor,
             cfg,
             ws: Workspace::new(),
+            workers: None,
             step_idx: 0,
             busy_since: Instant::now(),
         }
@@ -351,7 +357,8 @@ impl<'a, O: Operator> RankCtx<'a, O> {
 
     /// Warm every compiled gather entry the run will touch, before the timed
     /// loop: with comm/compute overlap the first send would otherwise be
-    /// delayed by the boundary list's one-time compile.
+    /// delayed by the boundary list's one-time compile. Then spawn the
+    /// rank's worker pool, once for the whole run.
     fn precompile(&mut self) {
         for l in 0..self.n_levels {
             for elems in [
@@ -364,6 +371,7 @@ impl<'a, O: Operator> RankCtx<'a, O> {
                 }
             }
         }
+        self.workers = WorkerPool::shared(&mut self.ws, self.cfg.threads_per_rank);
     }
 
     /// Apply the masked product over this rank's elements, amplify work,
@@ -379,9 +387,12 @@ impl<'a, O: Operator> RankCtx<'a, O> {
         self.flight
             .record(EventKind::LevelBegin, l as u8, self.step_idx, NO_PEER, 0);
         // zero my entries
-        for &i in &self.plan.my_zero[l] {
-            self.fs[l][i as usize] = 0.0;
-        }
+        for_each_listed(
+            self.workers.as_deref(),
+            &self.plan.my_zero[l],
+            &mut self.fs[l],
+            |_, f| *f = 0.0,
+        );
         let has_peers = !self.plan.peers[l].is_empty();
         if !self.plan.my_boundary_elems[l].is_empty() {
             let state = if state_is_u { &self.u } else { &self.uts[l] };
@@ -635,87 +646,77 @@ impl<'a, O: Operator> RankCtx<'a, O> {
     }
 
     /// Inject `Δ·F(t)/M` for this rank's sources at `level` into `target`
-    /// (`vts[level]` or the global `v`).
-    fn inject(&self, level: usize, target: &mut [f64], dt: f64, t: f64, half: f64) {
+    /// (`vts[level]` or the global `v`). Serial: a handful of DOFs.
+    fn inject(&mut self, level: usize, to_v: bool, dt: f64, t: f64, half: f64) {
+        let target = if to_v {
+            &mut self.v
+        } else {
+            &mut self.vts[level]
+        };
+        let mass = self.op.mass();
         for &(si, dof) in &self.my_sources[level] {
             let src = &self.sources[si];
             let d = dof as usize;
-            target[d] += half * dt * (src.amplitude)(t) / self.op.mass()[d];
+            target[d] += half * dt * (src.amplitude)(t) / mass[d];
         }
     }
 
+    /// Advance level `l`'s auxiliary state over `[t0, t0 + Δt_{l−1})` in two
+    /// leap-frog sub-steps, recursing into level `l + 1` first. The vector
+    /// updates split each sorted DOF list across the rank's pool; every
+    /// DOF's arithmetic is the serial loop's, so every bit is too.
     fn aux_advance(&mut self, l: usize, t0: f64) -> Result<(), RuntimeError> {
-        let levels = self.n_levels;
         let dt_l = self.dt / (1u64 << l) as f64;
-        let innermost = l == levels - 1;
+        let innermost = l == self.n_levels - 1;
+        let plan = self.plan;
+        let workers = self.workers.as_ref().map(Arc::clone);
+        let pool = workers.as_deref();
         for m in 0..2usize {
             let tm = t0 + m as f64 * dt_l;
             self.force_level(l, false)?;
-            if innermost {
-                for ai in 0..self.plan.my_active[l].len() {
-                    let i = self.plan.my_active[l][ai] as usize;
-                    let mut f = 0.0;
-                    for fj in self.fs[..=l].iter() {
-                        f += fj[i];
-                    }
-                    if m == 0 {
-                        self.vts[l][i] = -0.5 * dt_l * f;
-                    } else {
-                        self.vts[l][i] -= dt_l * f;
-                    }
-                }
-                {
-                    let (vts_lo, vts_hi) = self.vts.split_at_mut(l);
-                    let _ = vts_lo;
-                    let mut tmp = std::mem::take(&mut vts_hi[0]);
-                    self.inject(l, &mut tmp, dt_l, tm, if m == 0 { 0.5 } else { 1.0 });
-                    self.vts[l] = tmp;
-                }
-                for ai in 0..self.plan.my_active[l].len() {
-                    let i = self.plan.my_active[l][ai] as usize;
-                    self.uts[l][i] += dt_l * self.vts[l][i];
-                }
-            } else {
-                {
-                    let (cur, rest) = self.uts.split_at_mut(l + 1);
-                    let src = &cur[l];
-                    let dst = &mut rest[0];
-                    for &i in &self.plan.my_active[l + 1] {
-                        dst[i as usize] = src[i as usize];
-                    }
-                }
+            if !innermost {
+                let (cur, fine) = self.uts.split_at_mut(l + 1);
+                let src = &cur[l];
+                for_each_listed(pool, &plan.my_active[l + 1], &mut fine[0], |i, u| {
+                    *u = src[i]
+                });
                 self.aux_advance(l + 1, tm)?;
-                for ai in 0..self.plan.my_leaf[l].len() {
-                    let i = self.plan.my_leaf[l][ai] as usize;
-                    let mut f = 0.0;
-                    for fj in self.fs[..=l].iter() {
-                        f += fj[i];
-                    }
-                    if m == 0 {
-                        self.vts[l][i] = -0.5 * dt_l * f;
-                    } else {
-                        self.vts[l][i] -= dt_l * f;
-                    }
-                }
-                {
-                    let mut tmp = std::mem::take(&mut self.vts[l]);
-                    self.inject(l, &mut tmp, dt_l, tm, if m == 0 { 0.5 } else { 1.0 });
-                    self.vts[l] = tmp;
-                }
-                for ai in 0..self.plan.my_active[l + 1].len() {
-                    let i = self.plan.my_active[l + 1][ai] as usize;
-                    let d = (self.uts[l + 1][i] - self.uts[l][i]) / dt_l;
-                    if m == 0 {
-                        self.vts[l][i] = d;
-                    } else {
-                        self.vts[l][i] += 2.0 * d;
-                    }
-                }
-                for ai in 0..self.plan.my_active[l].len() {
-                    let i = self.plan.my_active[l][ai] as usize;
-                    self.uts[l][i] += dt_l * self.vts[l][i];
-                }
             }
+            // the innermost level owns every active DOF; coarser levels
+            // kick their leaves and take the rest from the finer level
+            let kicked = if innermost {
+                &plan.my_active[l]
+            } else {
+                &plan.my_leaf[l]
+            };
+            let fs = &self.fs[..=l];
+            for_each_listed(pool, kicked, &mut self.vts[l], |i, v| {
+                let mut f = 0.0;
+                for fj in fs {
+                    f += fj[i];
+                }
+                if m == 0 {
+                    *v = -0.5 * dt_l * f;
+                } else {
+                    *v -= dt_l * f;
+                }
+            });
+            self.inject(l, false, dt_l, tm, if m == 0 { 0.5 } else { 1.0 });
+            if !innermost {
+                let (cur, fine) = (&self.uts[l], &self.uts[l + 1]);
+                for_each_listed(pool, &plan.my_active[l + 1], &mut self.vts[l], |i, v| {
+                    let d = (fine[i] - cur[i]) / dt_l;
+                    if m == 0 {
+                        *v = d;
+                    } else {
+                        *v += 2.0 * d;
+                    }
+                });
+            }
+            let vts = &self.vts[l];
+            for_each_listed(pool, &plan.my_active[l], &mut self.uts[l], |i, u| {
+                *u += dt_l * vts[i]
+            });
         }
         Ok(())
     }
@@ -723,42 +724,28 @@ impl<'a, O: Operator> RankCtx<'a, O> {
     fn step(&mut self, t: f64) -> Result<(), RuntimeError> {
         self.flight
             .record(EventKind::StepBegin, NO_LEVEL, self.step_idx, NO_PEER, 0);
-        let levels = self.n_levels;
         let dt = self.dt;
+        let plan = self.plan;
+        let workers = self.workers.as_ref().map(Arc::clone);
+        let pool = workers.as_deref();
         self.force_level(0, true)?;
-        if levels == 1 {
-            for &i in &self.plan.my_dofs {
-                let i = i as usize;
-                self.v[i] -= dt * self.fs[0][i];
-            }
-            let mut tmp = std::mem::take(&mut self.v);
-            self.inject(0, &mut tmp, dt, t, 1.0);
-            self.v = tmp;
-            for &i in &self.plan.my_dofs {
-                let i = i as usize;
-                self.u[i] += dt * self.v[i];
-            }
+        let kicked = if self.n_levels == 1 {
+            &plan.my_dofs
         } else {
-            for &i in &self.plan.my_active[1] {
-                self.uts[1][i as usize] = self.u[i as usize];
-            }
+            let u = &self.u;
+            for_each_listed(pool, &plan.my_active[1], &mut self.uts[1], |i, x| *x = u[i]);
             self.aux_advance(1, t)?;
-            for &i in &self.plan.my_active[1] {
-                let i = i as usize;
-                self.v[i] += 2.0 * (self.uts[1][i] - self.u[i]) / dt;
-            }
-            for &i in &self.plan.my_leaf[0] {
-                let i = i as usize;
-                self.v[i] -= dt * self.fs[0][i];
-            }
-            let mut tmp = std::mem::take(&mut self.v);
-            self.inject(0, &mut tmp, dt, t, 1.0);
-            self.v = tmp;
-            for &i in &self.plan.my_dofs {
-                let i = i as usize;
-                self.u[i] += dt * self.v[i];
-            }
-        }
+            let (uts, u) = (&self.uts[1], &self.u);
+            for_each_listed(pool, &plan.my_active[1], &mut self.v, |i, v| {
+                *v += 2.0 * (uts[i] - u[i]) / dt
+            });
+            &plan.my_leaf[0]
+        };
+        let f0 = &self.fs[0];
+        for_each_listed(pool, kicked, &mut self.v, |i, v| *v -= dt * f0[i]);
+        self.inject(0, true, dt, t, 1.0);
+        let v = &self.v;
+        for_each_listed(pool, &plan.my_dofs, &mut self.u, |i, u| *u += dt * v[i]);
         self.flight
             .record(EventKind::StepEnd, NO_LEVEL, self.step_idx, NO_PEER, 0);
         self.step_idx += 1;

@@ -19,10 +19,12 @@ pub struct RankPlan {
     /// …and the rest, computable while messages are in flight.
     pub my_interior_elems: Vec<Vec<u32>>,
     /// `setup.touched[l] ∩ my_dofs` — force-buffer entries to zero.
+    /// Like `my_active` and `my_leaf`, ascending, as the threaded vector
+    /// updates need.
     pub my_zero: Vec<Vec<u32>>,
-    /// `setup.active[l] ∩ my_dofs`.
+    /// `setup.active[l] ∩ my_dofs`, ascending.
     pub my_active: Vec<Vec<u32>>,
-    /// `setup.leaf[l] ∩ my_dofs`.
+    /// `setup.leaf[l] ∩ my_dofs`, ascending.
     pub my_leaf: Vec<Vec<u32>>,
     /// All DOFs of owned elements.
     pub my_dofs: Vec<u32>,

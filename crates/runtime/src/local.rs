@@ -222,6 +222,12 @@ fn rank_local_worlds<'a, L: LocalOperator>(
             {
                 relabel(lists, &local_of_global);
             }
+            // `local_of_global` is increasing (`nodes` is), so the relabelled
+            // DOF lists stay ascending, as the threaded vector updates need
+            debug_assert!([&plan.my_zero, &plan.my_active, &plan.my_leaf]
+                .into_iter()
+                .flatten()
+                .all(|list| list.windows(2).all(|w| w[0] < w[1])));
             for (d, _) in plan.shared.iter_mut().flatten() {
                 *d = local_of_global[*d as usize];
             }

@@ -10,6 +10,7 @@
 use crate::compiled::{AcousticEngine, GatherCache, ScalarScratch, ScalarWs, FULL_LEVEL};
 use crate::dofmap::DofMap;
 use crate::gll::GllBasis;
+use crate::pool::WorkerPool;
 use lts_core::{DofTopology, Operator, Workspace};
 use lts_mesh::HexMesh;
 
@@ -221,9 +222,9 @@ impl Operator for AcousticOperator {
         ws: &mut Workspace,
         threads: usize,
     ) {
-        if threads <= 1 {
+        let Some(pool) = WorkerPool::shared(ws, threads) else {
             return self.apply_masked_ws(u, out, elems, dof_level, level, ws);
-        }
+        };
         let npe = self.dofmap.nodes_per_elem();
         let st = ws.get_or_insert_with(|| AcousticWs(ScalarWs::new(npe)));
         let i = self.compiled_entry(
@@ -242,7 +243,7 @@ impl Operator for AcousticOperator {
             sc.ensure_lanes(npe, variant.lanes());
         }
         self.engine()
-            .run_threads(cache.entry(i), u, &mut par[..threads], out);
+            .run_threads(cache.entry(i), u, &pool, &mut par[..threads], out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {

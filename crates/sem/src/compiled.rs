@@ -16,6 +16,7 @@
 
 use crate::gll::GllBasis;
 use crate::parallel::ElementColoring;
+use crate::pool::WorkerPool;
 use crate::simd::{
     batch_elastic_stiffness, batch_scalar_stiffness, AcousticLanes, ElasticLanes, KernelVariant,
 };
@@ -457,17 +458,18 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64) + Sync> AcousticEngine<'_, G> {
         &self,
         entry: &CompiledGather,
         u: &[f64],
+        pool: &WorkerPool,
         par: &mut [ScalarScratch],
         out: &mut [f64],
     ) {
         match entry.simd.as_ref() {
             Some(plan) => {
-                crate::parallel::par_colored(out, &plan.unit_off, par, |unit, sc, o| {
+                crate::parallel::par_colored(pool, out, &plan.unit_off, par, |unit, sc, o| {
                     self.unit(entry, plan, unit, u, sc, o);
                 });
             }
             None => {
-                crate::parallel::par_colored(out, &entry.color_off, par, |pos, sc, o| {
+                crate::parallel::par_colored(pool, out, &entry.color_off, par, |pos, sc, o| {
                     self.elem(entry, pos, u, sc, o);
                 });
             }
@@ -640,17 +642,18 @@ impl<G: Fn(u32) -> (f64, f64, f64, f64, f64) + Sync> ElasticEngine<'_, G> {
         &self,
         entry: &CompiledGather,
         u: &[f64],
+        pool: &WorkerPool,
         par: &mut [crate::elastic::Scratch],
         out: &mut [f64],
     ) {
         match entry.simd.as_ref() {
             Some(plan) => {
-                crate::parallel::par_colored(out, &plan.unit_off, par, |unit, s, o| {
+                crate::parallel::par_colored(pool, out, &plan.unit_off, par, |unit, s, o| {
                     self.unit(entry, plan, unit, u, s, o);
                 });
             }
             None => {
-                crate::parallel::par_colored(out, &entry.color_off, par, |pos, s, o| {
+                crate::parallel::par_colored(pool, out, &entry.color_off, par, |pos, s, o| {
                     self.elem(entry, pos, u, s, o);
                 });
             }

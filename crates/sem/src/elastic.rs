@@ -8,6 +8,7 @@
 use crate::compiled::{ElasticEngine, ElasticScratchWs, GatherCache, FULL_LEVEL};
 use crate::dofmap::DofMap;
 use crate::gll::GllBasis;
+use crate::pool::WorkerPool;
 use lts_core::{DofTopology, Operator, Workspace};
 use lts_mesh::HexMesh;
 
@@ -479,9 +480,9 @@ impl Operator for ElasticOperator {
         ws: &mut Workspace,
         threads: usize,
     ) {
-        if threads <= 1 {
+        let Some(pool) = WorkerPool::shared(ws, threads) else {
             return self.apply_masked_ws(u, out, elems, dof_level, level, ws);
-        }
+        };
         let npe = self.dofmap.nodes_per_elem();
         let st = ws.get_or_insert_with(|| ElasticWs(ElasticScratchWs::new(npe)));
         let i = self.compiled_entry(
@@ -500,7 +501,7 @@ impl Operator for ElasticOperator {
             s.ensure_lanes(npe, variant.lanes());
         }
         self.engine()
-            .run_threads(cache.entry(i), u, &mut par[..threads], out);
+            .run_threads(cache.entry(i), u, &pool, &mut par[..threads], out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {

@@ -12,7 +12,9 @@
 //! * [`acoustic`] — scalar wave operator `A = M⁻¹K` implementing the
 //!   [`lts_core::Operator`]/[`lts_core::DofTopology`] traits;
 //! * [`elastic`] — the 3-component isotropic elastic operator (Eqs. 1–2);
-//! * [`boundary`] — sponge-taper absorbing boundaries.
+//! * [`boundary`] — sponge-taper absorbing boundaries;
+//! * [`parallel`] and [`pool`] — the coloured threaded apply and the
+//!   persistent per-rank worker pool it and the LTS vector updates run on.
 
 // Indexed `for i in 0..n` loops over parallel arrays are the house idiom in
 // these numerical kernels: the index couples several same-length arrays and
@@ -27,6 +29,7 @@ pub mod elastic;
 pub mod gll;
 pub mod kernel;
 pub mod parallel;
+pub mod pool;
 pub mod record;
 pub mod simd;
 pub mod unstructured;

@@ -6,21 +6,22 @@
 //! Colours are processed one after another — the result is deterministic
 //! (within a colour every DOF receives contributions from exactly one
 //! element). The compiled gather plans (`compiled.rs`) colour every masked
-//! element list this way and drive `par_colored` with the rank's
-//! `threads_per_rank` workers.
+//! element list this way and drive `par_colored` on the rank's persistent
+//! [`WorkerPool`] of `threads_per_rank` participants.
 //!
 //! This is the per-node parallelism of the paper's platform (8 cores per
 //! node under MPI); combined with `lts-runtime` it gives the familiar
 //! MPI × threads hybrid.
 //!
-//! The executor's entire `unsafe` surface is the [`DisjointOut`] primitive
-//! (see `disjoint.rs` for the soundness argument); single-threaded calls
-//! take a fully safe path that never constructs the shared view at all. The
-//! colour/barrier protocol itself is model-checked across all interleavings
-//! in `tests/loom_model.rs`, which drives the same [`chunk_range`] split
-//! used here.
+//! The executor's `unsafe` is the [`DisjointOut`] primitive plus the pool's
+//! job lifetime erasure (see `disjoint.rs` for both soundness arguments);
+//! single-threaded calls never reach it, as the operators take their serial
+//! path without a pool. The colour/barrier protocol itself is model-checked
+//! across all interleavings in `tests/loom_model.rs`, which drives the same
+//! [`chunk_range`] split used here.
 
 use crate::disjoint::DisjointOut;
+use crate::pool::WorkerPool;
 
 /// Element classes that share no scatter target within a class.
 #[derive(Debug, Clone)]
@@ -94,58 +95,46 @@ pub fn chunk_range(lo: usize, hi: usize, threads: usize, tid: usize) -> (usize, 
     (start, end)
 }
 
-/// Run a colour-major compiled order on `scratch.len()` OS threads.
+/// Run a colour-major compiled order on the participants of `pool`.
 ///
 /// `f(pos, scratch, out)` processes the element at position `pos` of the
-/// compiled order. Each colour span `color_off[c]..color_off[c+1]` is split
-/// into one contiguous chunk per thread ([`chunk_range`]); a barrier
-/// separates colours. Within a colour no two elements share a scatter
-/// target, and every DOF receives at most one contribution per colour, so
-/// the accumulation order per DOF is exactly the colour order — the result
-/// is bitwise identical to a serial walk of the same compiled order, at any
-/// thread count.
+/// compiled order; participant `tid` uses `scratch[tid]` (one slot per
+/// participant). Each colour span `color_off[c]..color_off[c+1]` is split
+/// into one contiguous chunk per participant ([`chunk_range`]); the pool's
+/// barrier separates colours. Within a colour no two elements share a
+/// scatter target, and every DOF receives at most one contribution per
+/// colour, so the accumulation order per DOF is exactly the colour order —
+/// the result is bitwise identical to a serial walk of the same compiled
+/// order, at any thread count.
 // lint: hot-path
 pub(crate) fn par_colored<S: Send>(
+    pool: &WorkerPool,
     out: &mut [f64],
     color_off: &[u32],
     scratch: &mut [S],
     f: impl Fn(usize, &mut S, &mut [f64]) + Sync,
 ) {
-    let threads = scratch.len();
-    if threads <= 1 {
-        // Fully safe single-threaded path: the exclusive borrow is used
-        // directly, no shared view is ever constructed.
-        if let Some(sc) = scratch.first_mut() {
-            for w in color_off.windows(2) {
-                for pos in w[0] as usize..w[1] as usize {
-                    f(pos, sc, out);
-                }
-            }
-        }
-        return;
-    }
+    let threads = pool.threads();
     let shared = &DisjointOut::new(out);
-    let barrier = &std::sync::Barrier::new(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (tid, sc) in scratch.iter_mut().enumerate() {
-            scope.spawn(move || {
-                for w in color_off.windows(2) {
-                    let (start, end) = chunk_range(w[0] as usize, w[1] as usize, threads, tid);
-                    // SAFETY: threads take disjoint position ranges of this
-                    // colour span and same-colour elements share no scatter
-                    // targets (the compiled-colouring invariant, re-checked
-                    // at build time), so concurrent writes through the
-                    // claimed view never alias until the barrier.
-                    let out = unsafe { shared.claim() };
-                    for pos in start..end {
-                        f(pos, sc, out);
-                    }
-                    // lint: allow(lock-block) — colour barrier over in-process
-                    // scoped threads; no peer can be lost
-                    barrier.wait();
-                }
-            });
+    let scratch = &DisjointOut::new(scratch);
+    pool.broadcast(&|tid| {
+        // SAFETY: each participant claims only its own slot `tid..tid + 1`
+        // (bounds-checked, so a short `scratch` panics instead of aliasing)
+        let sc = &mut unsafe { scratch.claim_range(tid, tid + 1) }[0];
+        for w in color_off.windows(2) {
+            let (start, end) = chunk_range(w[0] as usize, w[1] as usize, threads, tid);
+            // SAFETY: participants take disjoint position ranges of this
+            // colour span and same-colour elements share no scatter
+            // targets (the compiled-colouring invariant, re-checked at
+            // build time), so concurrent writes through the claimed view
+            // never alias until the barrier.
+            let out = unsafe { shared.claim() };
+            for pos in start..end {
+                f(pos, sc, out);
+            }
+            if !pool.barrier_wait() {
+                return; // another participant panicked; the pool re-raises it
+            }
         }
     });
 }
@@ -197,13 +186,20 @@ mod tests {
         // full range exactly once
         let color_off = [0u32, 5, 5, 12];
         for threads in [1usize, 2, 3, 7] {
+            let pool = WorkerPool::new(threads);
             let mut hits = vec![0u32; 12];
             let mut out = vec![0.0; 12];
             let mut scratch = vec![(); threads];
             let cell = std::sync::Mutex::new(&mut hits);
-            par_colored(&mut out, &color_off, &mut scratch, |pos, _sc, _out| {
-                cell.lock().unwrap()[pos] += 1;
-            });
+            par_colored(
+                &pool,
+                &mut out,
+                &color_off,
+                &mut scratch,
+                |pos, _sc, _out| {
+                    cell.lock().unwrap()[pos] += 1;
+                },
+            );
             assert!(hits.iter().all(|&h| h == 1), "{threads} threads: {hits:?}");
         }
     }

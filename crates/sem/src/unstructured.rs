@@ -22,6 +22,7 @@ use crate::compiled::{
 use crate::dofmap::DofMap;
 use crate::elastic::Scratch;
 use crate::gll::GllBasis;
+use crate::pool::WorkerPool;
 use lts_core::{DofTopology, Operator, Workspace};
 use lts_mesh::HexMesh;
 
@@ -258,9 +259,9 @@ impl Operator for UnstructuredAcoustic {
         ws: &mut Workspace,
         threads: usize,
     ) {
-        if threads <= 1 {
+        let Some(pool) = WorkerPool::shared(ws, threads) else {
             return self.apply_masked_ws(u, out, elems, dof_level, level, ws);
-        }
+        };
         let st = ws.get_or_insert_with(|| UAcousticWs(ScalarWs::new(self.npe)));
         let i = self.compiled_entry(
             &mut st.0.cache,
@@ -278,7 +279,7 @@ impl Operator for UnstructuredAcoustic {
             sc.ensure_lanes(self.npe, variant.lanes());
         }
         self.engine()
-            .run_threads(cache.entry(i), u, &mut par[..threads], out);
+            .run_threads(cache.entry(i), u, &pool, &mut par[..threads], out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {
@@ -544,9 +545,9 @@ impl Operator for UnstructuredElastic {
         ws: &mut Workspace,
         threads: usize,
     ) {
-        if threads <= 1 {
+        let Some(pool) = WorkerPool::shared(ws, threads) else {
             return self.apply_masked_ws(u, out, elems, dof_level, level, ws);
-        }
+        };
         let st = ws.get_or_insert_with(|| UElasticWs(ElasticScratchWs::new(self.npe)));
         let i = self.compiled_entry(
             &mut st.0.cache,
@@ -564,7 +565,7 @@ impl Operator for UnstructuredElastic {
             s.ensure_lanes(self.npe, variant.lanes());
         }
         self.engine()
-            .run_threads(cache.entry(i), u, &mut par[..threads], out);
+            .run_threads(cache.entry(i), u, &pool, &mut par[..threads], out);
     }
 
     fn precompile_masked(&self, elems: &[u32], dof_level: &[u8], level: u8, ws: &mut Workspace) {

@@ -2,10 +2,9 @@
 //! both communication modes, must reproduce the channel/blocking reference
 //! **bit for bit** — fields via `to_bits`, deterministic counters exactly.
 //! Anything weaker would let a backend silently reorder the interface
-//! assembly. Both world layouts are held to it: the replicated one
-//! (`run_distributed`) and the rank-local one `wave-lts simulate` runs
-//! (`run_distributed_local_*_flight`), the latter also across intra-rank
-//! thread counts.
+//! assembly. Both world layouts are held to it, across intra-rank thread
+//! counts too: the replicated one (`run_distributed`) and the rank-local
+//! one `wave-lts simulate` runs (`run_distributed_local_*_flight`).
 
 use wave_lts::lts::{LtsNewmark, LtsSetup, Operator, Source};
 use wave_lts::mesh::{BenchmarkMesh, MeshKind};
@@ -143,7 +142,8 @@ type Fields = (Vec<f64>, Vec<f64>, Vec<RankStats>);
 
 /// Run the rank-local path at every backend × overlap × `threads_per_rank`
 /// point and assert each bitwise-identical to the channel/blocking/serial
-/// reference, which is returned.
+/// reference, which is returned. Three threads split the per-level DOF
+/// lists of the LTS vector updates unevenly.
 fn local_sweep(
     label: &str,
     ranks: usize,
@@ -154,7 +154,7 @@ fn local_sweep(
     assert!(reference.2.iter().any(|s| s.n_exchanges > 0));
     for kind in BACKENDS {
         for overlap in [false, true] {
-            for threads in [1, 2] {
+            for threads in [1, 2, 3] {
                 if kind == TransportKind::Channel && !overlap && threads == 1 {
                     continue; // that's the reference itself
                 }
@@ -171,6 +171,44 @@ fn local_sweep(
         }
     }
     reference
+}
+
+/// The replicated worlds (`run_distributed`, and through the same world
+/// constructor `run_distributed_endpoints` and `run_rank_endpoint`) split
+/// the same per-level DOF lists across intra-rank threads as the rank-local
+/// ones, with a source injected between the threaded updates.
+#[test]
+fn replicated_worlds_threads_bitwise() {
+    let b = BenchmarkMesh::build(MeshKind::Trench, 600);
+    let order = 2;
+    let op = AcousticOperator::new(&b.mesh, order);
+    let setup = LtsSetup::new(&op, &b.levels.elem_level);
+    let ndof = Operator::ndof(&op);
+    let dt = b.levels.dt_global * cfl_dt_scale(order, 3);
+    let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.03).sin()).collect();
+    let v0 = vec![0.0; ndof];
+    let src_dof = setup.leaf[setup.n_levels - 1][0];
+    let sources = [Source::new(src_dof, |t| (40.0 * t).sin())];
+    for ranks in [1, 3] {
+        let part = partition_mesh(&b.mesh, &b.levels, ranks, Strategy::ScotchP, 1);
+        let run = |threads: usize, overlap: bool| {
+            let cfg = DistributedConfig {
+                threads_per_rank: threads,
+                overlap,
+                ..DistributedConfig::new(ranks)
+            };
+            run_distributed(&op, &setup, &part, dt, &u0, &v0, 3, &cfg, &sources)
+                .unwrap_or_else(|e| panic!("{ranks} ranks, {threads} threads: {e}"))
+        };
+        let reference = run(1, false);
+        for threads in [2, 3] {
+            for overlap in [false, true] {
+                let case =
+                    format!("replicated, {ranks} ranks, {threads} threads, overlap={overlap}");
+                assert_identical(&case, &reference, &run(threads, overlap));
+            }
+        }
+    }
 }
 
 #[test]
@@ -200,6 +238,47 @@ fn rank_local_acoustic_all_transports_and_threads_bitwise() {
         )
         .0
     });
+}
+
+/// Four ranks of two threads each put eight threads on a two-core host: the
+/// run finishes in test time only if idle pool workers park instead of
+/// spinning, and it must still reproduce the single-thread bits and
+/// counters.
+#[test]
+fn oversubscribed_ranks_times_threads_bitwise() {
+    let b = BenchmarkMesh::build(MeshKind::Trench, 600);
+    let order = 2;
+    let ndof = Operator::ndof(&AcousticOperator::new(&b.mesh, order));
+    let dt = b.levels.dt_global * cfl_dt_scale(order, 3);
+    let u0: Vec<f64> = (0..ndof).map(|i| ((i as f64) * 0.05).cos()).collect();
+    let v0 = vec![0.0; ndof];
+    let ranks = 4;
+    let part = partition_mesh(&b.mesh, &b.levels, ranks, Strategy::ScotchP, 2);
+    let run = |threads: usize| {
+        let cfg = DistributedConfig {
+            threads_per_rank: threads,
+            ..DistributedConfig::new(ranks)
+        };
+        let mut host = MetricsRegistry::new();
+        run_distributed_local_acoustic_flight(
+            &b.mesh,
+            &b.levels,
+            order,
+            &part,
+            dt,
+            &u0,
+            &v0,
+            6,
+            &cfg,
+            &[],
+            &mut host,
+        )
+        .0
+        .unwrap_or_else(|e| panic!("{threads} threads per rank: {e}"))
+    };
+    let reference = run(1);
+    assert!(reference.2.iter().any(|s| s.n_exchanges > 0));
+    assert_identical("4 ranks x 2 threads", &reference, &run(2));
 }
 
 /// Elastic worlds renumber DOFs as `3·node + comp`; a source on a
