@@ -33,5 +33,36 @@ fn bench_part_counts(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_strategies, bench_part_counts);
+/// The partitions the wave-lts benchmark workloads run, at their sizes:
+/// PaToH on the 64k-element geometric crust and MeTiS on the 32k-element
+/// trench-big, both k = 2.
+fn bench_workload_sizes(c: &mut Criterion) {
+    let crust = BenchmarkMesh::crust_geometric(64_000);
+    let big = BenchmarkMesh::build(MeshKind::TrenchBig, 32_000);
+    let mut g = c.benchmark_group("partition_workload_sizes");
+    g.sample_size(10);
+    g.bench_function("crust64k_patoh_k2", |bch| {
+        let s = Strategy::Patoh { final_imbal: 0.05 };
+        bch.iter(|| black_box(partition_mesh(&crust.mesh, &crust.levels, 2, s, 1)))
+    });
+    g.bench_function("trenchbig32k_metis_k2", |bch| {
+        bch.iter(|| {
+            black_box(partition_mesh(
+                &big.mesh,
+                &big.levels,
+                2,
+                Strategy::MetisMc,
+                1,
+            ))
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_strategies,
+    bench_part_counts,
+    bench_workload_sizes
+);
 criterion_main!(benches);

@@ -58,7 +58,11 @@ impl HGraph {
     /// with fewer than two pins are dropped (they can never be cut) and
     /// *identical* nets are merged with summed costs (the standard PaToH
     /// simplification — Sec. III-A2 notes the same collapse for the
-    /// per-element-copy hyperedges).
+    /// per-element-copy hyperedges). Nets keep their first-occurrence order.
+    ///
+    /// Each net's sorted pins go straight into the flat `pins` buffer; an
+    /// open-addressing table of net ids, probed by a 64-bit hash of the pin
+    /// slice and resolved by slice comparison, finds a repeat.
     pub fn from_nets(
         n_vertices: usize,
         nets: impl IntoIterator<Item = (Vec<u32>, u64)>,
@@ -66,8 +70,11 @@ impl HGraph {
         vwgt: Vec<u32>,
     ) -> Self {
         assert_eq!(vwgt.len(), n_vertices * ncon);
-        let mut merged: std::collections::HashMap<Vec<u32>, u64> = std::collections::HashMap::new();
-        let mut order: Vec<Vec<u32>> = Vec::new();
+        let mut xpins = vec![0u32];
+        let mut pins: Vec<u32> = Vec::new();
+        let mut netcost: Vec<u64> = Vec::new();
+        let mut hashes: Vec<u64> = Vec::new();
+        let mut table = vec![u32::MAX; 64];
         for (mut p, cost) in nets {
             p.sort_unstable();
             p.dedup();
@@ -75,24 +82,38 @@ impl HGraph {
                 continue;
             }
             assert!(p.iter().all(|&v| (v as usize) < n_vertices));
-            match merged.entry(p) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    *e.get_mut() += cost;
+            let hash = pin_hash(&p);
+            let mask = table.len() - 1;
+            let mut slot = hash as usize & mask;
+            loop {
+                let net = table[slot];
+                if net == u32::MAX {
+                    table[slot] = netcost.len() as u32;
+                    pins.extend_from_slice(&p);
+                    xpins.push(pins.len() as u32);
+                    netcost.push(cost);
+                    hashes.push(hash);
+                    break;
                 }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    order.push(e.key().clone());
-                    e.insert(cost);
+                let n = net as usize;
+                if hashes[n] == hash && pins[xpins[n] as usize..xpins[n + 1] as usize] == p[..] {
+                    netcost[n] += cost;
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+            // keep the table at most half full
+            if 2 * netcost.len() > table.len() {
+                table = vec![u32::MAX; 2 * table.len()];
+                let mask = table.len() - 1;
+                for (net, &hash) in hashes.iter().enumerate() {
+                    let mut slot = hash as usize & mask;
+                    while table[slot] != u32::MAX {
+                        slot = (slot + 1) & mask;
+                    }
+                    table[slot] = net as u32;
                 }
             }
-        }
-        let mut xpins = vec![0u32];
-        let mut pins: Vec<u32> = Vec::new();
-        let mut netcost = Vec::new();
-        for p in order {
-            let cost = merged[&p];
-            pins.extend_from_slice(&p);
-            xpins.push(pins.len() as u32);
-            netcost.push(cost);
         }
         let (xnets, vnets) = invert_pins(n_vertices, &xpins, &pins);
         HGraph {
@@ -175,6 +196,18 @@ impl HGraph {
     }
 }
 
+/// 64-bit hash of a sorted pin list (FxHash mixing with a murmur3
+/// finalizer, so the low bits that pick a table slot are well spread).
+fn pin_hash(pins: &[u32]) -> u64 {
+    let mut h = pins.len() as u64;
+    for &p in pins {
+        h = (h.rotate_left(5) ^ p as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 33)
+}
+
 fn invert_pins(n_vertices: usize, xpins: &[u32], pins: &[u32]) -> (Vec<u32>, Vec<u32>) {
     let mut deg = vec![0u32; n_vertices];
     for &p in pins {
@@ -199,6 +232,102 @@ fn invert_pins(n_vertices: usize, xpins: &[u32], pins: &[u32]) -> (Vec<u32>, Vec
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The original `HashMap<Vec<u32>, u64>` merge: the reference that
+    /// [`HGraph::from_nets`] must match field for field.
+    fn reference_from_nets(
+        n_vertices: usize,
+        nets: impl IntoIterator<Item = (Vec<u32>, u64)>,
+        ncon: usize,
+        vwgt: Vec<u32>,
+    ) -> HGraph {
+        let mut merged: std::collections::HashMap<Vec<u32>, u64> = std::collections::HashMap::new();
+        let mut order: Vec<Vec<u32>> = Vec::new();
+        for (mut p, cost) in nets {
+            p.sort_unstable();
+            p.dedup();
+            if p.len() < 2 {
+                continue;
+            }
+            match merged.entry(p) {
+                std::collections::hash_map::Entry::Occupied(mut e) => {
+                    *e.get_mut() += cost;
+                }
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    order.push(e.key().clone());
+                    e.insert(cost);
+                }
+            }
+        }
+        let mut xpins = vec![0u32];
+        let mut pins: Vec<u32> = Vec::new();
+        let mut netcost = Vec::new();
+        for p in order {
+            let cost = merged[&p];
+            pins.extend_from_slice(&p);
+            xpins.push(pins.len() as u32);
+            netcost.push(cost);
+        }
+        let (xnets, vnets) = invert_pins(n_vertices, &xpins, &pins);
+        HGraph {
+            xpins,
+            pins,
+            xnets,
+            vnets,
+            netcost,
+            ncon,
+            vwgt,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random nets with repeated pins, single-pin and empty nets, and
+        /// permuted duplicates of earlier nets inserted anywhere (enough of
+        /// them to grow the merge table several times).
+        #[test]
+        fn from_nets_matches_hashmap_reference(
+            n in 1usize..12,
+            base in prop::collection::vec((prop::collection::vec(0u32..12, 0..7), 1u64..50), 0..80),
+            copies in prop::collection::vec((0usize..80, 0u64..1000), 0..80),
+        ) {
+            let mut nets: Vec<(Vec<u32>, u64)> = base
+                .into_iter()
+                .map(|(p, c)| (p.into_iter().map(|v| v % n as u32).collect(), c))
+                .collect();
+            for (i, (pick, r)) in copies.into_iter().enumerate() {
+                if nets.is_empty() {
+                    break;
+                }
+                let (mut p, c) = nets[pick % nets.len()].clone();
+                if !p.is_empty() {
+                    let len = p.len();
+                    p.rotate_left(r as usize % len);
+                }
+                if r % 2 == 1 {
+                    p.reverse();
+                }
+                let at = (r as usize + i) % (nets.len() + 1);
+                nets.insert(at, (p, c + r));
+            }
+            let got = HGraph::from_nets(n, nets.clone(), 1, vec![1; n]);
+            let want = reference_from_nets(n, nets, 1, vec![1; n]);
+            prop_assert_eq!(got.xpins, want.xpins);
+            prop_assert_eq!(got.pins, want.pins);
+            prop_assert_eq!(got.netcost, want.netcost);
+            prop_assert_eq!(got.xnets, want.xnets);
+            prop_assert_eq!(got.vnets, want.vnets);
+        }
+    }
+
+    #[test]
+    fn empty_input_has_no_nets() {
+        let h = HGraph::from_nets(3, Vec::new(), 1, vec![1; 3]);
+        assert_eq!(h.n_nets(), 0);
+        assert_eq!(h.xnets, [0; 4]);
+    }
 
     fn tiny() -> HGraph {
         // 4 vertices; nets: {0,1} cost 2, {1,2,3} cost 3, {0,3} cost 1

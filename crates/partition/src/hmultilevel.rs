@@ -7,7 +7,7 @@
 
 use crate::hgraph::HGraph;
 use crate::multilevel::names as vnames;
-use crate::refine::{record_fm_pass, FmPassOutcome};
+use crate::refine::{record_fm_pass, side_counts, FmPassOutcome};
 use lts_obs::MetricsRegistry;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -403,6 +403,9 @@ fn fm_pass(h: &HGraph, side: &mut [u8], sw: &mut [[u64; 2]], lim: &[[u64; 2]]) -
             heap.push((gain[v as usize], v));
         }
     }
+    let mut count = side_counts(side);
+    // `refreshed[u] == seq.len()` once `u` got its gain for the current move
+    let mut refreshed = vec![0usize; n];
     let mut seq: Vec<u32> = Vec::new();
     let mut delta = 0i64;
     let mut best_delta = 0i64;
@@ -414,12 +417,15 @@ fn fm_pass(h: &HGraph, side: &mut [u8], sw: &mut [[u64; 2]], lim: &[[u64; 2]]) -
         if moved[vi] || gv != gain[vi] {
             continue;
         }
-        let to = 1 - side[vi] as usize;
-        let from_count = side.iter().filter(|&&s| s as usize == 1 - to).count();
-        if from_count <= 1 || !move_feasible(h, vi, to, sw, lim) {
+        let from = side[vi] as usize;
+        let to = 1 - from;
+        // never empty a side
+        if count[from] <= 1 || !move_feasible(h, vi, to, sw, lim) {
             continue;
         }
         apply_move(h, vi, side, sw, &mut net_side);
+        count[from] -= 1;
+        count[to] += 1;
         moved[vi] = true;
         seq.push(v);
         delta -= gv;
@@ -433,16 +439,21 @@ fn fm_pass(h: &HGraph, side: &mut [u8], sw: &mut [[u64; 2]], lim: &[[u64; 2]]) -
                 break;
             }
         }
+        // Refresh each unmoved neighbour once per move. The pop sequence is
+        // the same as pushing once per shared net: those extra copies are the
+        // identical `(gain, u)` tuple, which pops back to back with one outcome.
         for &net in h.nets_of(v) {
             for &u in h.pins_of(net) {
                 let ui = u as usize;
-                if !moved[ui] {
+                if !moved[ui] && refreshed[ui] != seq.len() {
+                    refreshed[ui] = seq.len();
                     gain[ui] = gain_of(h, u, side, &net_side);
                     heap.push((gain[ui], u));
                 }
             }
         }
     }
+    debug_assert_eq!(count, side_counts(side), "incremental side counts drifted");
     for &v in seq[best_len..].iter().rev() {
         apply_move(h, v as usize, side, sw, &mut net_side);
     }
@@ -652,6 +663,20 @@ mod tests {
         let h = mesh_hgraph(5, 5, 3);
         let cfg = HPartitionConfig::default();
         assert_eq!(hpartition_kway(&h, 4, &cfg), hpartition_kway(&h, 4, &cfg));
+    }
+
+    #[test]
+    fn fm_never_empties_a_side() {
+        // nets {0,1} cost 10 and {1,2} cost 1 with side 0 = {0}: the
+        // best-gain move (0, +10) would empty side 0, so FM must take 1 (+9)
+        let h = HGraph::from_nets(3, vec![(vec![0, 1], 10), (vec![1, 2], 1)], 1, vec![1; 3]);
+        let mut side = vec![0u8, 1, 1];
+        let mut sw = side_weights(&h, &side);
+        let lim = vec![[3u64, 3]];
+        let out = fm_pass(&h, &mut side, &mut sw, &lim);
+        assert_eq!(side, [0, 0, 1]);
+        assert_eq!(out.gain, 9);
+        assert_eq!(sw, side_weights(&h, &side));
     }
 
     #[test]

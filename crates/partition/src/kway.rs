@@ -38,6 +38,8 @@ pub fn kway_refine_graph(
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut moves = 0usize;
     let mut order: Vec<u32> = (0..g.n_vertices() as u32).collect();
+    // connectivity to each neighbouring part, reused across vertices
+    let mut w_to: Vec<(u32, i64)> = Vec::with_capacity(6);
     for _ in 0..passes {
         order.shuffle(&mut rng);
         let mut moved_this_pass = 0usize;
@@ -47,8 +49,7 @@ pub fn kway_refine_graph(
             if part_count[p] <= 1 {
                 continue;
             }
-            // connectivity to each neighbouring part
-            let mut w_to: Vec<(u32, i64)> = Vec::with_capacity(6);
+            w_to.clear();
             let mut w_own = 0i64;
             for (idx, &u) in g.neighbors(v).iter().enumerate() {
                 let q = part[u as usize];
@@ -128,6 +129,8 @@ pub fn kway_refine_hgraph(
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xABCD);
     let mut order: Vec<u32> = (0..h.n_vertices() as u32).collect();
     let mut moves = 0usize;
+    // candidate parts (those sharing a net with a vertex), reused across vertices
+    let mut cands: Vec<u32> = Vec::new();
     for _ in 0..passes {
         order.shuffle(&mut rng);
         let mut moved_this_pass = 0usize;
@@ -137,8 +140,7 @@ pub fn kway_refine_hgraph(
             if part_count[p as usize] <= 1 {
                 continue;
             }
-            // candidate parts: those sharing a net with v
-            let mut cands: Vec<u32> = Vec::new();
+            cands.clear();
             for &net in h.nets_of(v) {
                 for &(q, _) in &net_parts[net as usize] {
                     if q != p && !cands.contains(&q) {

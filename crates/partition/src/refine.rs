@@ -98,6 +98,12 @@ fn apply_move(g: &Graph, v: usize, side: &mut [u8], sw: &mut [[u64; 2]]) {
     side[v] = to as u8;
 }
 
+/// Vertices per side, `[side 0, side 1]`.
+pub(crate) fn side_counts(side: &[u8]) -> [usize; 2] {
+    let ones = side.iter().filter(|&&s| s == 1).count();
+    [side.len() - ones, ones]
+}
+
 /// FM gain of moving `v` to the other side: (external − internal) edge weight.
 fn gain_of(g: &Graph, v: u32, side: &[u8]) -> i64 {
     let mut gain = 0i64;
@@ -251,6 +257,7 @@ pub fn fm_pass_observed(
             heap.push((gain[v as usize], v));
         }
     }
+    let mut count = side_counts(side);
     let mut seq: Vec<u32> = Vec::new();
     let mut delta = 0i64; // cumulative cut change (negative = better)
     let mut best_delta = 0i64;
@@ -263,16 +270,18 @@ pub fn fm_pass_observed(
         if moved[vi] || gv != gain[vi] {
             continue; // stale entry
         }
-        let to = 1 - side[vi] as usize;
+        let from = side[vi] as usize;
+        let to = 1 - from;
         // never empty a side
-        let from_count = side.iter().filter(|&&s| s as usize == 1 - to).count();
-        if from_count <= 1 {
+        if count[from] <= 1 {
             continue;
         }
         if !move_feasible(g, vi, to, sw, limits) {
             continue;
         }
         apply_move(g, vi, side, sw);
+        count[from] -= 1;
+        count[to] += 1;
         moved[vi] = true;
         seq.push(v);
         delta -= gv;
@@ -295,6 +304,7 @@ pub fn fm_pass_observed(
             }
         }
     }
+    debug_assert_eq!(count, side_counts(side), "incremental side counts drifted");
     // roll back past the best prefix
     for &v in seq[best_len..].iter().rev() {
         apply_move(g, v as usize, side, sw);
@@ -493,6 +503,26 @@ mod tests {
                 sw
             );
         }
+    }
+
+    #[test]
+    fn fm_never_empties_a_side() {
+        // path 0 —10— 1 —1— 2 with side 0 = {0}: the best-gain move (0, +10)
+        // would empty side 0, so FM must take 1 (+9) instead and stop there
+        let g = Graph {
+            xadj: vec![0, 1, 3, 4],
+            adj: vec![1, 0, 2, 1],
+            ewgt: vec![10, 10, 1, 1],
+            ncon: 1,
+            vwgt: vec![1; 3],
+        };
+        let mut side = vec![0u8, 1, 1];
+        let mut sw = side_weights(&g, &side);
+        let limits = vec![[3u64, 3]];
+        let out = fm_pass_observed(&g, &mut side, &mut sw, &limits);
+        assert_eq!(side, [0, 0, 1]);
+        assert_eq!(out.gain, 9);
+        assert_eq!(sw, side_weights(&g, &side));
     }
 
     #[test]
