@@ -10,7 +10,7 @@
 //! awaits is gone.
 
 use super::{bad_peer, Recv, Transport, TransportError, TransportMetrics};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 enum Wire {
@@ -82,10 +82,6 @@ pub fn channel_cluster_with_latency(n: usize, latency: Duration) -> Vec<Box<dyn 
         .collect()
 }
 
-/// Granularity of the timed-receive poll; the shim channel (std `mpsc`
-/// underneath) has no native `recv_timeout`.
-const POLL: Duration = Duration::from_micros(200);
-
 impl Transport for ChannelTransport {
     fn rank(&self) -> usize {
         self.rank
@@ -144,20 +140,10 @@ impl Transport for ChannelTransport {
                 // lint: allow(lock-block) — the None deadline means block
                 // by contract; the exchange loop passes a watchdog
                 None => self.rx.recv().map_err(|_| TransportError::Closed)?,
-                Some(t) => {
-                    let deadline = Instant::now() + t;
-                    loop {
-                        match self.rx.try_recv() {
-                            Ok(w) => break w,
-                            Err(_) => {
-                                if Instant::now() >= deadline {
-                                    return Err(TransportError::Timeout);
-                                }
-                                std::thread::sleep(POLL);
-                            }
-                        }
-                    }
-                }
+                Some(t) => self.rx.recv_timeout(t).map_err(|e| match e {
+                    RecvTimeoutError::Timeout => TransportError::Timeout,
+                    RecvTimeoutError::Disconnected => TransportError::Closed,
+                })?,
             },
         };
         match wire {
